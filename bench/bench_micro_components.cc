@@ -37,6 +37,7 @@
 #include "src/core/mbc_star.h"
 #include "src/core/mdc_solver.h"
 #include "src/core/reductions.h"
+#include "src/datasets/families.h"
 #include "src/datasets/generators.h"
 #include "src/dichromatic/network_builder.h"
 #include "src/dichromatic/reductions.h"
@@ -190,6 +191,39 @@ void BM_DichromaticNetworkBuildInto(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DichromaticNetworkBuildInto);
+
+// Ranked refills on a hub-heavy power-law graph (BSCL), in the MBC* visit
+// order (reverse degeneracy). Scanning members' whole adjacency would
+// re-read a hub's list in every g_u that holds the hub; an out-list build
+// reads only u's adjacency and its members' out-lists. The untimed
+// warm-up sweep binds the out-lists and grows the network to its largest
+// g_u, so allocs/iter is 0.
+void BM_DichromaticNetworkBuildIntoHub(benchmark::State& state) {
+  const SignedGraph graph =
+      GenerateFromFamily("bscl", {{"vertices", "20000"},
+                                  {"edges", "120000"},
+                                  {"seed", "1"}})
+          .value();
+  const DegeneracyResult degeneracy = DegeneracyDecompose(graph);
+  const VertexId n = graph.NumVertices();
+  DichromaticNetworkBuilder builder(graph);
+  DichromaticNetwork net;
+  for (VertexId u : degeneracy.order) {
+    builder.BuildInto(u, degeneracy.rank.data(), nullptr, &net);
+  }
+  const uint64_t allocs_before = AllocCount();
+  VertexId i = 0;
+  for (auto _ : state) {
+    builder.BuildInto(degeneracy.order[n - 1 - i % n], degeneracy.rank.data(),
+                      nullptr, &net);
+    benchmark::DoNotOptimize(net.graph.NumVertices());
+    ++i;
+  }
+  state.counters["allocs/iter"] =
+      benchmark::Counter(static_cast<double>(AllocCount() - allocs_before) /
+                         static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_DichromaticNetworkBuildIntoHub);
 
 void BM_TwoSidedCore(benchmark::State& state) {
   const DichromaticGraph graph =

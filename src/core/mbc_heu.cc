@@ -84,9 +84,9 @@ BalancedClique MaterializeLocal(const DichromaticNetwork& net,
   return result;
 }
 
-/// The five degree/polar anchors of MbcHeuristic (see the comments there).
-void DegreeAndPolarAnchors(const SignedGraph& graph,
-                           std::vector<VertexId>* anchors) {
+}  // namespace
+
+std::vector<VertexId> DegreeAndPolarAnchors(const SignedGraph& graph) {
   const VertexId n = graph.NumVertices();
   VertexId by_min = 0;
   VertexId by_pos = 0;
@@ -125,12 +125,8 @@ void DegreeAndPolarAnchors(const SignedGraph& graph,
       by_polar = v;
     }
   }
-  for (VertexId anchor : {by_min, by_pos, by_neg, by_total, by_polar}) {
-    anchors->push_back(anchor);
-  }
+  return {by_min, by_pos, by_neg, by_total, by_polar};
 }
-
-}  // namespace
 
 BalancedClique MbcHeuristicAt(const SignedGraph& graph, VertexId anchor,
                               uint32_t tau, ExecutionContext* exec) {
@@ -174,9 +170,7 @@ BalancedClique MbcHeuristic(const SignedGraph& graph, uint32_t tau,
   // balanced clique, so the vertex of maximum polar-core number pn
   // (Lemma 5, the principled anchor for a *balanced* core) rides along;
   // one O(m) decomposition buys it.
-  std::vector<VertexId> anchors;
-  anchors.reserve(5);
-  DegreeAndPolarAnchors(graph, &anchors);
+  const std::vector<VertexId> anchors = DegreeAndPolarAnchors(graph);
 
   // The first anchor always runs to completion: the greedy is the O(m)
   // fallback tier, so even a pre-expired budget yields a valid (possibly
@@ -207,8 +201,7 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
   // degeneracy order (promoted from the brownout tier — the last vertices
   // of the peeling order live in the region of highest core numbers, the
   // natural place to grow a large dichromatic neighborhood).
-  std::vector<VertexId> anchors;
-  DegreeAndPolarAnchors(graph, &anchors);
+  std::vector<VertexId> anchors = DegreeAndPolarAnchors(graph);
   if (options.degeneracy_anchors > 0) {
     const DegeneracyResult degeneracy = DegeneracyDecompose(graph);
     const size_t n = degeneracy.order.size();

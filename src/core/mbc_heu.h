@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "src/common/execution.h"
 #include "src/core/balanced_clique.h"
@@ -42,6 +43,11 @@ BalancedClique MbcHeuristic(const SignedGraph& graph, uint32_t tau,
 /// anchor-pool callers).
 BalancedClique MbcHeuristicAt(const SignedGraph& graph, VertexId anchor,
                               uint32_t tau, ExecutionContext* exec = nullptr);
+
+/// The five anchors MbcHeuristic tries, in its order: the vertices with
+/// the largest min{d+(u), d-(u)}, d+(u), d-(u), total degree and polar-core
+/// number (one PDecompose).
+std::vector<VertexId> DegreeAndPolarAnchors(const SignedGraph& graph);
 
 /// Knobs for the heuristic-tier solver. The defaults are what the query
 /// service's `mbc_heu` kind runs, so they are part of the cache contract:

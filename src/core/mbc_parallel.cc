@@ -109,20 +109,19 @@ class Worker {
  public:
   Worker(uint32_t id, uint32_t num_threads, const SignedGraph& work,
          const std::vector<VertexId>& to_input,
-         const DegeneracyResult& degeneracy, uint32_t tau,
+         const RankedOutLists& out_lists, uint32_t tau,
          uint32_t split_threshold, ExecutionContext* exec,
          GlobalIncumbent* global, Scheduler* sched)
       : id_(id),
         num_threads_(num_threads),
-        work_(work),
         to_input_(to_input),
-        degeneracy_(degeneracy),
+        out_lists_(out_lists),
         tau_(tau),
         split_threshold_(split_threshold),
         exec_(exec),
         global_(global),
         sched_(sched),
-        builder_(work) {
+        builder_(work, out_lists) {
     solver_.SetExecution(exec_);
     // One offer closure for the worker's lifetime; `cur_net_` re-points it
     // at whichever network the solver is currently searching.
@@ -204,16 +203,9 @@ class Worker {
   /// would depend on the schedule.
   void RunEgo(VertexId u) {
     size_t bound = global_->best_size.load(std::memory_order_relaxed);
-    uint32_t higher = 0;
-    for (VertexId v : work_.PositiveNeighbors(u)) {
-      higher += degeneracy_.rank[v] > degeneracy_.rank[u];
-    }
-    for (VertexId v : work_.NegativeNeighbors(u)) {
-      higher += degeneracy_.rank[v] > degeneracy_.rank[u];
-    }
-    if (static_cast<size_t>(higher) + 1 < bound) return;
+    if (size_t{out_lists_.Degree(u)} + 1 < bound) return;
 
-    builder_.BuildInto(u, degeneracy_.rank.data(), nullptr, &net_);
+    builder_.BuildInto(u, out_lists_.rank(), nullptr, &net_);
     ++networks_built_;
     bound = global_->best_size.load(std::memory_order_relaxed);
     const uint32_t k = net_.graph.NumVertices();
@@ -335,9 +327,8 @@ class Worker {
 
   const uint32_t id_;
   const uint32_t num_threads_;
-  const SignedGraph& work_;
   const std::vector<VertexId>& to_input_;
-  const DegeneracyResult& degeneracy_;
+  const RankedOutLists& out_lists_;
   const uint32_t tau_;
   const uint32_t split_threshold_;
   ExecutionContext* const exec_;
@@ -431,6 +422,8 @@ ParallelMbcResult ParallelMaxBalancedCliqueStar(
   Scheduler sched;
   if (work.NumVertices() > 0) {
     const DegeneracyResult degeneracy = DegeneracyDecompose(work);
+    // One oriented copy of the graph, shared read-only by every worker.
+    const RankedOutLists out_lists(work, degeneracy.rank.data());
     const uint32_t split_threshold = options.split_threshold > 0
                                          ? options.split_threshold
                                          : kDefaultSplitThreshold;
@@ -456,7 +449,7 @@ ParallelMbcResult ParallelMaxBalancedCliqueStar(
     workers.reserve(threads);
     for (uint32_t t = 0; t < threads; ++t) {
       workers.push_back(std::make_unique<Worker>(
-          t, threads, work, to_input, degeneracy, tau, split_threshold, exec,
+          t, threads, work, to_input, out_lists, tau, split_threshold, exec,
           &global, &sched));
     }
     if (threads == 1) {

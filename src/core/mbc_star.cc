@@ -104,8 +104,9 @@ MbcStarResult MaxBalancedCliqueStar(const SignedGraph& graph, uint32_t tau,
   if (work.NumVertices() > 0) {
     // Line 4: degeneracy ordering.
     const DegeneracyResult degeneracy = DegeneracyDecompose(work);
+    const RankedOutLists out_lists(work, degeneracy.rank.data());
 
-    DichromaticNetworkBuilder builder(work);
+    DichromaticNetworkBuilder builder(work, out_lists);
     double sr1_sum = 0.0;
     double sr2_sum = 0.0;
     uint64_t sr_count = 0;
@@ -134,17 +135,10 @@ MbcStarResult MaxBalancedCliqueStar(const SignedGraph& graph, uint32_t tau,
          ++it) {
       if (exec->Probe()) break;
       const VertexId u = *it;
-      // Cheap pre-check: the network has 1 + (higher-ranked neighbors)
-      // vertices; if that cannot beat the incumbent, skip it without
-      // paying for the dense-bitset construction.
-      uint32_t higher = 0;
-      for (VertexId v : work.PositiveNeighbors(u)) {
-        higher += degeneracy.rank[v] > degeneracy.rank[u];
-      }
-      for (VertexId v : work.NegativeNeighbors(u)) {
-        higher += degeneracy.rank[v] > degeneracy.rank[u];
-      }
-      if (static_cast<size_t>(higher) + 1 <= prune_bound) continue;
+      // Cheap pre-check: the network has 1 + |out(u)| vertices; if that
+      // cannot beat the incumbent, skip it without paying for the
+      // dense-bitset construction.
+      if (size_t{out_lists.Degree(u)} + 1 <= prune_bound) continue;
 
       // Line 6: dichromatic network over higher-ranked neighbors
       // (clear-and-refill into the hoisted network).

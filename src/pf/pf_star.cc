@@ -67,7 +67,8 @@ PfStarResult PolarizationFactorStar(const SignedGraph& graph,
     rank = std::move(degeneracy.rank);
   }
 
-  DichromaticNetworkBuilder builder(work);
+  const RankedOutLists out_lists(work, rank.data());
+  DichromaticNetworkBuilder builder(work, out_lists);
   double sr1_sum = 0.0;
   double sr2_sum = 0.0;
   uint64_t sr_count = 0;
@@ -99,15 +100,10 @@ PfStarResult PolarizationFactorStar(const SignedGraph& graph,
     // Cheap pre-check: g_u needs at least τ*+... vertices on each side
     // through u, so u itself needs enough higher-ranked positive and
     // negative neighbors.
-    uint32_t higher_pos = 0;
-    for (VertexId v : work.PositiveNeighbors(u)) {
-      higher_pos += rank[v] > rank[u];
+    if (out_lists.PositiveDegree(u) < tau ||
+        out_lists.NegativeDegree(u) < tau + 1) {
+      continue;
     }
-    uint32_t higher_neg = 0;
-    for (VertexId v : work.NegativeNeighbors(u)) {
-      higher_neg += rank[v] > rank[u];
-    }
-    if (higher_pos < tau || higher_neg < tau + 1) continue;
     builder.BuildInto(u, rank.data(), nullptr, &net);
     ++stats.num_networks_built;
     const uint32_t k = net.graph.NumVertices();

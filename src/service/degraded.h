@@ -24,9 +24,10 @@ namespace mbc {
 /// a balanced clique frustrates no edge, so it is feasible under every
 /// tolerance budget): the best anchored greedy clique satisfying tau
 /// (possibly empty). kPf: beta lower bound = the largest min side over
-/// the greedy cliques. kGmbc: that beta bound plus a greedy |C| per tau
-/// in [0, beta]. Deterministic for a given graph; O(k * m) for a handful
-/// of anchors.
+/// the greedy cliques. kGmbc: that beta bound plus, per tau in
+/// [0, beta], the largest greedy clique with min side >= tau. Each anchor
+/// runs once whatever beta is. Deterministic for a given graph; O(k * m)
+/// for a handful of anchors.
 QueryResult ComputeDegradedResult(const SignedGraph& graph, QueryKind kind,
                                   uint32_t tau);
 
