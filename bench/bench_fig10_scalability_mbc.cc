@@ -35,22 +35,25 @@ int main() {
           dataset.graph, percent / 100.0, /*seed=*/1234 + percent);
 
       mbc::Timer timer;
+      mbc::ExecutionContext baseline_exec;
       mbc::MbcBaselineOptions baseline_options;
-      baseline_options.time_limit_seconds = limit;
+      baseline_options.exec = mbc::ConfigureRunContext(&baseline_exec, limit);
       const mbc::MbcBaselineResult baseline =
           mbc::MaxBalancedCliqueBaseline(sample, tau, baseline_options);
       const double baseline_seconds = timer.ElapsedSeconds();
 
       timer.Restart();
+      mbc::ExecutionContext adv_exec;
       mbc::MbcAdvOptions adv_options;
-      adv_options.time_limit_seconds = limit * 3;
+      adv_options.exec = mbc::ConfigureRunContext(&adv_exec, limit * 3);
       const mbc::MbcAdvResult adv =
           mbc::MaxBalancedCliqueAdv(sample, tau, adv_options);
       const double adv_seconds = timer.ElapsedSeconds();
 
       timer.Restart();
+      mbc::ExecutionContext star_exec;
       mbc::MbcStarOptions star_options;
-      star_options.time_limit_seconds = limit * 6;
+      star_options.exec = mbc::ConfigureRunContext(&star_exec, limit * 6);
       const mbc::MbcStarResult star =
           mbc::MaxBalancedCliqueStar(sample, tau, star_options);
       const double star_seconds = timer.ElapsedSeconds();

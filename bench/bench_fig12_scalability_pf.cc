@@ -32,8 +32,9 @@ int main() {
           dataset.graph, percent / 100.0, /*seed=*/4321 + percent);
 
       mbc::Timer timer;
+      mbc::ExecutionContext pfe_exec;
       mbc::PfEOptions pfe_options;
-      pfe_options.time_limit_seconds = limit;
+      pfe_options.exec = mbc::ConfigureRunContext(&pfe_exec, limit);
       const mbc::PfEResult pfe =
           mbc::PolarizationFactorEnum(sample, pfe_options);
       const double pfe_seconds = timer.ElapsedSeconds();
@@ -44,8 +45,9 @@ int main() {
       (void)pfbs;
 
       timer.Restart();
+      mbc::ExecutionContext star_exec;
       mbc::PfStarOptions star_options;
-      star_options.time_limit_seconds = limit * 6;
+      star_options.exec = mbc::ConfigureRunContext(&star_exec, limit * 6);
       const mbc::PfStarResult star =
           mbc::PolarizationFactorStar(sample, star_options);
       const double star_seconds = timer.ElapsedSeconds();

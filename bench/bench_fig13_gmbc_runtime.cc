@@ -16,21 +16,26 @@ int main() {
   using mbc::TablePrinter;
   mbc::PrintExperimentHeader("Runtime of gMBC vs gMBC*", "Figure 13");
 
-  mbc::GeneralizedMbcOptions budget;
-  budget.time_limit_seconds = mbc::BaselineTimeLimitSeconds() * 6;
+  const double limit = mbc::BaselineTimeLimitSeconds() * 6;
 
   TablePrinter table(
       {"Dataset", "gMBC", "gMBC*", "speedup", "beta", "MBC*-calls"});
   for (const mbc::ExperimentDataset& dataset :
        mbc::LoadExperimentDatasets()) {
     mbc::Timer timer;
+    mbc::ExecutionContext plain_exec;
+    mbc::GeneralizedMbcOptions plain_options;
+    plain_options.exec = mbc::ConfigureRunContext(&plain_exec, limit);
     const mbc::GeneralizedMbcResult plain =
-        mbc::GeneralizedMbc(dataset.graph, budget);
+        mbc::GeneralizedMbc(dataset.graph, plain_options);
     const double plain_seconds = timer.ElapsedSeconds();
 
     timer.Restart();
+    mbc::ExecutionContext star_exec;
+    mbc::GeneralizedMbcOptions star_options;
+    star_options.exec = mbc::ConfigureRunContext(&star_exec, limit);
     const mbc::GeneralizedMbcResult star =
-        mbc::GeneralizedMbcStar(dataset.graph, budget);
+        mbc::GeneralizedMbcStar(dataset.graph, star_options);
     const double star_seconds = timer.ElapsedSeconds();
 
     if (!plain.timed_out && !star.timed_out && plain.beta != star.beta) {

@@ -38,26 +38,32 @@ int main() {
     const mbc::SignedGraph& graph = dataset.graph;
 
     mbc::Timer timer;
+    mbc::ExecutionContext with_er_exec;
     mbc::MbcBaselineOptions baseline_options;
-    baseline_options.time_limit_seconds = limit;
+    baseline_options.exec = mbc::ConfigureRunContext(&with_er_exec, limit);
     const mbc::MbcBaselineResult with_er =
         mbc::MaxBalancedCliqueBaseline(graph, tau, baseline_options);
     const double mbc_seconds = timer.ElapsedSeconds();
 
     timer.Restart();
+    mbc::ExecutionContext no_er_exec;
+    baseline_options.exec = mbc::ConfigureRunContext(&no_er_exec, limit);
     baseline_options.apply_edge_reduction = false;
     const mbc::MbcBaselineResult no_er =
         mbc::MaxBalancedCliqueBaseline(graph, tau, baseline_options);
     const double noer_seconds = timer.ElapsedSeconds();
 
     timer.Restart();
+    mbc::ExecutionContext star_exec;
     mbc::MbcStarOptions star_options;
-    star_options.time_limit_seconds = limit * 6;
+    star_options.exec = mbc::ConfigureRunContext(&star_exec, limit * 6);
     const mbc::MbcStarResult star =
         mbc::MaxBalancedCliqueStar(graph, tau, star_options);
     const double star_seconds = timer.ElapsedSeconds();
 
     timer.Restart();
+    mbc::ExecutionContext star_er_exec;
+    star_options.exec = mbc::ConfigureRunContext(&star_er_exec, limit * 6);
     star_options.apply_edge_reduction = true;
     const mbc::MbcStarResult star_er =
         mbc::MaxBalancedCliqueStar(graph, tau, star_options);

@@ -29,27 +29,33 @@ int main() {
   for (const mbc::ExperimentDataset& dataset :
        mbc::LoadExperimentDatasets()) {
     mbc::Timer timer;
+    mbc::ExecutionContext adv_exec;
     mbc::MbcAdvOptions adv_options;
-    adv_options.time_limit_seconds = limit * 3;
+    adv_options.exec = mbc::ConfigureRunContext(&adv_exec, limit * 3);
     const mbc::MbcAdvResult adv =
         mbc::MaxBalancedCliqueAdv(dataset.graph, tau, adv_options);
     const double adv_seconds = timer.ElapsedSeconds();
 
     timer.Restart();
+    mbc::ExecutionContext star_exec;
     mbc::MbcStarOptions star_options;
-    star_options.time_limit_seconds = limit * 6;
+    star_options.exec = mbc::ConfigureRunContext(&star_exec, limit * 6);
     const mbc::MbcStarResult star =
         mbc::MaxBalancedCliqueStar(dataset.graph, tau, star_options);
     const double star_seconds = timer.ElapsedSeconds();
     (void)star_seconds;
 
     timer.Restart();
+    mbc::ExecutionContext adv_noseed_exec;
+    adv_options.exec = mbc::ConfigureRunContext(&adv_noseed_exec, limit * 3);
     adv_options.run_heuristic = false;
     const mbc::MbcAdvResult adv_noseed =
         mbc::MaxBalancedCliqueAdv(dataset.graph, tau, adv_options);
     const double adv_noseed_seconds = timer.ElapsedSeconds();
 
     timer.Restart();
+    mbc::ExecutionContext star_noseed_exec;
+    star_options.exec = mbc::ConfigureRunContext(&star_noseed_exec, limit * 6);
     star_options.run_heuristic = false;
     const mbc::MbcStarResult star_noseed =
         mbc::MaxBalancedCliqueStar(dataset.graph, tau, star_options);

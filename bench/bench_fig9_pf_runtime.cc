@@ -26,8 +26,9 @@ int main() {
   for (const mbc::ExperimentDataset& dataset :
        mbc::LoadExperimentDatasets()) {
     mbc::Timer timer;
+    mbc::ExecutionContext pfe_exec;
     mbc::PfEOptions pfe_options;
-    pfe_options.time_limit_seconds = limit;
+    pfe_options.exec = mbc::ConfigureRunContext(&pfe_exec, limit);
     const mbc::PfEResult pfe =
         mbc::PolarizationFactorEnum(dataset.graph, pfe_options);
     const double pfe_seconds = timer.ElapsedSeconds();
@@ -38,16 +39,18 @@ int main() {
     const double pfbs_seconds = timer.ElapsedSeconds();
 
     timer.Restart();
+    mbc::ExecutionContext dorder_exec;
     mbc::PfStarOptions dorder_options;
     dorder_options.ordering = mbc::PfStarOptions::Ordering::kDegeneracy;
-    dorder_options.time_limit_seconds = limit * 6;
+    dorder_options.exec = mbc::ConfigureRunContext(&dorder_exec, limit * 6);
     const mbc::PfStarResult dorder =
         mbc::PolarizationFactorStar(dataset.graph, dorder_options);
     const double dorder_seconds = timer.ElapsedSeconds();
 
     timer.Restart();
+    mbc::ExecutionContext star_exec;
     mbc::PfStarOptions star_options;
-    star_options.time_limit_seconds = limit * 6;
+    star_options.exec = mbc::ConfigureRunContext(&star_exec, limit * 6);
     const mbc::PfStarResult star =
         mbc::PolarizationFactorStar(dataset.graph, star_options);
     const double star_seconds = timer.ElapsedSeconds();

@@ -36,7 +36,8 @@ double BaselineTimeLimitSeconds();
 /// Configures `exec` from the environment: a deadline of
 /// `time_limit_seconds` (pass e.g. BaselineTimeLimitSeconds(); <= 0 means
 /// no deadline) and a memory budget of MBC_MEMORY_LIMIT_MB megabytes when
-/// that variable is set. Returns `exec` for one-line call sites.
+/// that variable is set. Returns `exec` for one-line call sites. The
+/// deadline is absolute, so configure a fresh context per timed call.
 ExecutionContext* ConfigureRunContext(ExecutionContext* exec,
                                       double time_limit_seconds);
 

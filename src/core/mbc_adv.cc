@@ -135,7 +135,7 @@ class AdvSearcher {
 MbcAdvResult MaxBalancedCliqueAdv(const SignedGraph& graph, uint32_t tau,
                                   const MbcAdvOptions& options) {
   MbcAdvResult result;
-  ExecutionScope scope(options.exec, options.time_limit_seconds);
+  ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
 
   ReducedSignedGraph reduced = ApplyVertexReduction(graph, tau);

@@ -128,7 +128,7 @@ MbcBaselineResult MaxBalancedCliqueBaseline(const SignedGraph& graph,
                                             uint32_t tau,
                                             const MbcBaselineOptions& options) {
   MbcBaselineResult result;
-  ExecutionScope scope(options.exec, options.time_limit_seconds);
+  ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
 
   Timer phase;

@@ -18,9 +18,8 @@ namespace {
 /// Alternating-side greedy growth (Algorithm 3 Lines 5-7) from the current
 /// clique state. Consumes `*candidates`; members join `*members` and the
 /// side counters. Without `rng` the first max-degree candidate (ascending
-/// local id) wins — the paper's deterministic rule, and the exact behavior
-/// of the original MbcHeuristicAt loop. With `rng`, ties among max-degree
-/// candidates of the chosen side break uniformly at random (the
+/// local id) wins — the paper's deterministic rule. With `rng`, ties among
+/// max-degree candidates of the chosen side break uniformly at random (the
 /// local-search move randomization); `ties` is caller-owned scratch.
 void GrowAlternating(const DichromaticGraph& g, Bitset* candidates,
                      Bitset* members, size_t* left_size, size_t* right_size,
@@ -84,8 +83,15 @@ BalancedClique MaterializeLocal(const DichromaticNetwork& net,
   return result;
 }
 
-}  // namespace
-
+/// The five degree/polar anchors, in order. The paper anchors at the vertex
+/// with the largest min{d+(u), d-(u)}. We additionally try the vertices
+/// maximizing d+, d- and the total degree: a large balanced clique with
+/// skewed sides (e.g. TripAdvisor's 45|1871 optimum) is anchored by a
+/// big-d+ or big-d- member rather than a balanced one, and a greedy run
+/// costs only O(m). The raw-degree anchors can all be "saturated hubs"
+/// whose neighborhoods hold no large balanced clique, so the vertex of
+/// maximum polar-core number pn (Lemma 5, the principled anchor for a
+/// *balanced* core) rides along; one O(m) decomposition buys it.
 std::vector<VertexId> DegreeAndPolarAnchors(const SignedGraph& graph) {
   const VertexId n = graph.NumVertices();
   VertexId by_min = 0;
@@ -128,67 +134,12 @@ std::vector<VertexId> DegreeAndPolarAnchors(const SignedGraph& graph) {
   return {by_min, by_pos, by_neg, by_total, by_polar};
 }
 
-BalancedClique MbcHeuristicAt(const SignedGraph& graph, VertexId anchor,
-                              uint32_t tau, ExecutionContext* exec) {
-  DichromaticNetworkBuilder builder(graph);
-  // Full neighborhood: no ordering filter, no alive filter.
-  const DichromaticNetwork net = builder.Build(anchor);
-  const DichromaticGraph& g = net.graph;
-  const uint32_t k = g.NumVertices();
-  if (k == 0) return BalancedClique{};  // unreachable: the net holds anchor
-
-  // Growing clique; local vertex 0 (= anchor) is an L-vertex.
-  Bitset members(k);
-  members.Set(0);
-  size_t left_size = 1;
-  size_t right_size = 0;
-
-  // Candidates: vertices adjacent to every clique member.
-  Bitset candidates(k);
-  candidates.SetAll();
-  candidates.Reset(0);
-  candidates &= g.AdjacencyOf(0);
-
-  GrowAlternating(g, &candidates, &members, &left_size, &right_size,
-                  /*rng=*/nullptr, /*ties=*/nullptr, exec);
-
-  BalancedClique result = MaterializeLocal(net, members);
-  if (!result.SatisfiesThreshold(tau)) return BalancedClique{};
-  return result;
-}
-
-BalancedClique MbcHeuristic(const SignedGraph& graph, uint32_t tau,
-                            ExecutionContext* exec) {
-  const VertexId n = graph.NumVertices();
-  if (n == 0) return BalancedClique{};
-  // The paper anchors at the vertex with the largest min{d+(u), d-(u)}.
-  // We additionally try the vertices maximizing d+, d- and the total
-  // degree: a large balanced clique with skewed sides (e.g. TripAdvisor's
-  // 45|1871 optimum) is anchored by a big-d+ or big-d- member rather than
-  // a balanced one, and a greedy run costs only O(m). The raw-degree
-  // anchors can all be "saturated hubs" whose neighborhoods hold no large
-  // balanced clique, so the vertex of maximum polar-core number pn
-  // (Lemma 5, the principled anchor for a *balanced* core) rides along;
-  // one O(m) decomposition buys it.
-  const std::vector<VertexId> anchors = DegreeAndPolarAnchors(graph);
-
-  // The first anchor always runs to completion: the greedy is the O(m)
-  // fallback tier, so even a pre-expired budget yields a valid (possibly
-  // partial) clique rather than nothing. The probe between anchors bounds
-  // the overrun at one greedy pass.
-  BalancedClique best;
-  for (VertexId anchor : anchors) {
-    BalancedClique clique = MbcHeuristicAt(graph, anchor, tau, exec);
-    if (clique.size() > best.size()) best = std::move(clique);
-    if (exec != nullptr && exec->Probe()) break;
-  }
-  return best;
-}
+}  // namespace
 
 MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
                                 const MbcHeuOptions& options) {
   MbcHeuResult result;
-  ExecutionScope scope(options.exec, options.time_limit_seconds);
+  ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
   const auto finish = [&]() -> MbcHeuResult& {
     result.stats.interrupt_reason = exec->reason();
@@ -234,9 +185,7 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
 
   bool first_anchor = true;
   for (VertexId anchor : anchors) {
-    // The first anchor's greedy runs ungoverned: one O(m) pass is bounded
-    // work, and a degraded answer beats an empty one even when the budget
-    // is already expired (the interrupt still reports through stats).
+    // The first anchor's greedy runs ungoverned (see mbc_heu.h).
     ExecutionContext* grow_exec = first_anchor ? nullptr : exec;
     first_anchor = false;
     builder.BuildInto(anchor, nullptr, nullptr, &net);
@@ -250,7 +199,7 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
     Bitset& anchor_best = frame.remaining;
     Bitset& backup = scratch.cand;      // revert state for rejected moves
 
-    // Greedy seed (identical to MbcHeuristicAt).
+    // Greedy seed (Algorithm 3).
     members.Reshape(k);
     members.Set(0);
     size_t left_size = 1;
@@ -261,6 +210,7 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
                     /*rng=*/nullptr, /*ties=*/nullptr, grow_exec);
     result.stats.greedy_size =
         std::max(result.stats.greedy_size, left_size + right_size);
+    result.anchor_cliques.push_back(MaterializeLocal(net, members));
 
     size_t anchor_best_size = 0;
     if (std::min(left_size, right_size) >= tau) {
@@ -343,13 +293,20 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
     if (anchor_best_size > best.size()) {
       best = MaterializeLocal(net, anchor_best);
     }
-    // As in MbcHeuristic: the first anchor's greedy always completes, so
-    // a pre-expired budget still yields a valid lower bound.
     if (interrupted || exec->Probe()) break;
   }
 
   result.clique = std::move(best);
   return finish();
+}
+
+BalancedClique MbcHeuristic(const SignedGraph& graph, uint32_t tau,
+                            ExecutionContext* exec) {
+  MbcHeuOptions options;
+  options.local_search_iterations = 0;
+  options.degeneracy_anchors = 0;
+  options.exec = exec;
+  return MbcHeuristicSearch(graph, tau, options).clique;
 }
 
 }  // namespace mbc

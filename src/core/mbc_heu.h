@@ -2,25 +2,29 @@
 //
 // The heuristic tier: fast lower bounds for the maximum balanced clique.
 //
-// MbcHeuristic / MbcHeuristicAt are MBC-Heu (Algorithm 3): a linear-time
-// greedy that grows a balanced clique inside the dichromatic network of a
-// high-degree vertex, alternating sides to keep |C_L| and |C_R| balanced.
-// They seed the lower bound of MBC* (Line 2 of Algorithm 2) and PF*
-// (Line 1 of Algorithm 4).
+// One solver, MbcHeuristicSearch, built on MBC-Heu (Algorithm 3): a
+// linear-time greedy that grows a balanced clique inside the dichromatic
+// network of an anchor vertex, alternating sides to keep |C_L| and |C_R|
+// balanced. The greedy runs at a small anchor pool (the paper's degree
+// anchor, the vertices maximizing d+, d-, total degree and polar-core
+// number, plus the densest tail of the degeneracy order), and a seeded
+// bitset local search (drop-and-regrow swap/add moves over the two sides of
+// each anchor's dichromatic network, arena-backed; grounded in Ordozgoiti
+// et al., arXiv:2002.00775) may then improve each anchor's clique.
 //
-// MbcHeuristicSearch is the first-class heuristic solver built on top of
-// the greedy (grounded in Ordozgoiti et al., arXiv:2002.00775): a wider
-// anchor pool (the paper's degree/polar anchors plus the densest vertices
-// of the degeneracy order, promoted from the service's brownout tier) and
-// a seeded bitset local search (drop-and-regrow swap/add moves over the
-// two sides of each anchor's dichromatic network, arena-backed). The
-// result is a valid balanced clique — a lower bound the exact solvers
-// warm-start from — never a certificate of optimality.
+// MbcHeuristic is the configuration that seeds the lower bound of MBC*
+// (Line 2 of Algorithm 2) and PF* (Line 1 of Algorithm 4): the five
+// degree/polar anchors, greedy only.
+//
+// The first anchor's greedy always runs to completion, whatever the
+// governor says: one O(m) pass is bounded work, so even a pre-expired
+// budget yields a valid lower bound (the interrupt still reports through
+// the stats). The result is a valid balanced clique — a lower bound the
+// exact solvers warm-start from — never a certificate of optimality.
 #ifndef MBC_CORE_MBC_HEU_H_
 #define MBC_CORE_MBC_HEU_H_
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "src/common/execution.h"
@@ -28,26 +32,6 @@
 #include "src/graph/signed_graph.h"
 
 namespace mbc {
-
-/// Runs the greedy heuristic anchored at the vertex with the largest
-/// min{d+(u), d-(u)} (the paper's implementation choice). Returns a
-/// balanced clique satisfying τ, or an empty clique if the greedy result
-/// violates the constraint. O(m) time and space. `exec` is the optional
-/// execution governor (deadline / cancellation / memory budget); on
-/// interrupt the best clique found so far is returned — still valid, at
-/// worst empty. nullptr disables governance.
-BalancedClique MbcHeuristic(const SignedGraph& graph, uint32_t tau,
-                            ExecutionContext* exec = nullptr);
-
-/// As above, anchored at an explicit vertex (exposed for tests and the
-/// anchor-pool callers).
-BalancedClique MbcHeuristicAt(const SignedGraph& graph, VertexId anchor,
-                              uint32_t tau, ExecutionContext* exec = nullptr);
-
-/// The five anchors MbcHeuristic tries, in its order: the vertices with
-/// the largest min{d+(u), d-(u)}, d+(u), d-(u), total degree and polar-core
-/// number (one PDecompose).
-std::vector<VertexId> DegreeAndPolarAnchors(const SignedGraph& graph);
 
 /// Knobs for the heuristic-tier solver. The defaults are what the query
 /// service's `mbc_heu` kind runs, so they are part of the cache contract:
@@ -65,16 +49,12 @@ struct MbcHeuOptions {
   uint32_t local_search_iterations = 24;
 
   /// Degeneracy anchors (the densest tail of the peeling order) tried in
-  /// addition to the five degree/polar anchors of MbcHeuristic.
+  /// addition to the five degree/polar anchors.
   uint32_t degeneracy_anchors = 4;
 
-  /// Wall-clock safety budget (unset = unlimited). Ignored when `exec`
-  /// is supplied.
-  std::optional<double> time_limit_seconds;
-
-  /// Shared execution governor; takes precedence over time_limit_seconds.
-  /// Owned by the caller; may be null. On interrupt the best clique found
-  /// so far is returned (valid, possibly smaller than a full run's).
+  /// Shared execution governor. Owned by the caller; may be null. On
+  /// interrupt the best clique found so far is returned (valid, possibly
+  /// smaller than a full run's).
   ExecutionContext* exec = nullptr;
 };
 
@@ -94,6 +74,10 @@ struct MbcHeuResult {
   /// The best balanced clique found; empty if none satisfies τ. Always
   /// canonicalized, always verified-balanced by construction.
   BalancedClique clique;
+  /// Each distinct anchor's greedy clique in pool order, taken before the
+  /// τ filter and before local search (canonical). Anchors skipped after
+  /// an interrupt are absent.
+  std::vector<BalancedClique> anchor_cliques;
   MbcHeuStats stats;
 };
 
@@ -102,6 +86,14 @@ struct MbcHeuResult {
 /// whatever thread calls it.
 MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
                                 const MbcHeuOptions& options = {});
+
+/// MBC-Heu as MBC* and PF* run it: MbcHeuristicSearch over the five
+/// degree/polar anchors with local search off. Returns the largest greedy
+/// clique satisfying τ, or an empty clique. O(m) per anchor. `exec` may be
+/// null (ungoverned); on interrupt the best clique found so far is
+/// returned.
+BalancedClique MbcHeuristic(const SignedGraph& graph, uint32_t tau,
+                            ExecutionContext* exec = nullptr);
 
 }  // namespace mbc
 

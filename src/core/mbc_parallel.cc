@@ -359,7 +359,7 @@ ParallelMbcResult ParallelMaxBalancedCliqueStar(
     const SignedGraph& graph, uint32_t tau,
     const ParallelMbcOptions& options) {
   ParallelMbcResult result;
-  ExecutionScope scope(options.exec, options.time_limit_seconds);
+  ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
 
   // Sequential preamble, identical to MBC* (and to every thread count —

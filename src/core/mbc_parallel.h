@@ -19,7 +19,6 @@
 #define MBC_CORE_MBC_PARALLEL_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "src/common/execution.h"
 #include "src/core/mbc_star.h"
@@ -38,9 +37,6 @@ struct ParallelMbcOptions {
   /// clique, so the published result stays the lex-min optimum whatever
   /// the seed. Owned by the caller; may be null.
   const BalancedClique* initial_clique = nullptr;
-  /// Wall-clock safety budget (unset = unlimited). Ignored when `exec`
-  /// is supplied.
-  std::optional<double> time_limit_seconds;
   /// Shared execution governor. All workers probe the same context, so
   /// cancelling it (from any thread) stops the whole search; the best
   /// clique found so far is returned. Owned by the caller; may be null.

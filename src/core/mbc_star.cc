@@ -40,7 +40,7 @@ MbcStarResult MaxBalancedCliqueStar(const SignedGraph& graph, uint32_t tau,
                                     const MbcStarOptions& options) {
   MbcStarResult result;
   MbcStarStats& stats = result.stats;
-  ExecutionScope scope(options.exec, options.time_limit_seconds);
+  ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
 
   BalancedClique best;  // in input-graph ids

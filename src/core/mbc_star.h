@@ -10,7 +10,6 @@
 #define MBC_CORE_MBC_STAR_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "src/common/execution.h"
 #include "src/core/balanced_clique.h"
@@ -38,16 +37,11 @@ struct MbcStarOptions {
   /// optimization, Section IV-B).
   bool existence_only = false;
 
-  /// Wall-clock safety budget (unset = unlimited, the paper's setting).
-  /// On expiry the best clique found so far is returned with
-  /// stats.timed_out set; it is valid but possibly not maximum.
-  /// Ignored when `exec` is supplied.
-  std::optional<double> time_limit_seconds;
-
   /// Shared execution governor (deadline, cancellation, memory budget,
-  /// fault injection). Takes precedence over time_limit_seconds. Owned by
-  /// the caller; may be null, in which case a private context is derived
-  /// from time_limit_seconds.
+  /// fault injection). On an interrupt the best clique found so far is
+  /// returned with stats.timed_out set; it is valid but possibly not
+  /// maximum. Owned by the caller; null runs ungoverned (the paper's
+  /// setting).
   ExecutionContext* exec = nullptr;
 
   /// Ablation switches for the two classic prunings (Lemmas 1 and 2);

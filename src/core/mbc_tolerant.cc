@@ -390,7 +390,6 @@ MbcTolerantResult MaxTolerantBalancedClique(const SignedGraph& graph,
     // and its witness is byte-identical to a direct exact query.
     MbcStarOptions star;
     star.initial_clique = options.initial_clique;
-    star.time_limit_seconds = options.time_limit_seconds;
     star.exec = options.exec;
     MbcStarResult exact = MaxBalancedCliqueStar(graph, tau, star);
     MbcTolerantResult result;
@@ -403,7 +402,7 @@ MbcTolerantResult MaxTolerantBalancedClique(const SignedGraph& graph,
     return result;
   }
 
-  ExecutionScope scope(options.exec, options.time_limit_seconds);
+  ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
   MbcTolerantStats stats;
   TolerantKernel kernel(graph, tau, tolerance, exec, &stats);

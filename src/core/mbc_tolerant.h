@@ -56,12 +56,7 @@ struct MbcTolerantOptions {
   /// kernel.
   bool seed_exact = true;
 
-  /// Wall-clock safety budget (unset = unlimited). Ignored when `exec`
-  /// is supplied.
-  std::optional<double> time_limit_seconds;
-
-  /// Shared execution governor; takes precedence over time_limit_seconds.
-  /// Owned by the caller; may be null.
+  /// Shared execution governor. Owned by the caller; may be null.
   ExecutionContext* exec = nullptr;
 };
 

@@ -23,7 +23,7 @@ GeneralizedMbcResult GeneralizedMbc(const SignedGraph& graph,
   GeneralizedMbcResult result;
   // One governor spans the whole sweep: the deadline is absolute, so the
   // per-τ runs share the budget without any remaining-time bookkeeping.
-  ExecutionScope scope(options.exec, options.time_limit_seconds);
+  ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
   for (uint32_t tau = 0;; ++tau) {
     ++result.num_mbc_calls;
@@ -46,7 +46,7 @@ GeneralizedMbcResult GeneralizedMbcStar(const SignedGraph& graph,
                                         const GeneralizedMbcOptions& options) {
   GeneralizedMbcResult result;
   if (graph.NumVertices() == 0) return result;
-  ExecutionScope scope(options.exec, options.time_limit_seconds);
+  ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
 
   // Line 1: β(G) via PF*.

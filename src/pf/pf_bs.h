@@ -6,7 +6,6 @@
 #define MBC_PF_PF_BS_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "src/common/execution.h"
 #include "src/graph/signed_graph.h"
@@ -14,12 +13,7 @@
 namespace mbc {
 
 struct PfBsOptions {
-  /// Wall-clock safety budget (unset = unlimited). Ignored when `exec`
-  /// is supplied.
-  std::optional<double> time_limit_seconds;
-
-  /// Shared execution governor; takes precedence over time_limit_seconds.
-  /// Owned by the caller; may be null.
+  /// Shared execution governor. Owned by the caller; may be null.
   ExecutionContext* exec = nullptr;
 };
 

@@ -7,7 +7,6 @@
 #define MBC_PF_PF_E_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "src/common/execution.h"
 #include "src/graph/signed_graph.h"
@@ -15,12 +14,8 @@
 namespace mbc {
 
 struct PfEOptions {
-  /// Abort after this many seconds; the result is then a lower bound.
-  /// Ignored when `exec` is supplied.
-  std::optional<double> time_limit_seconds;
-
-  /// Shared execution governor; takes precedence over time_limit_seconds.
-  /// Owned by the caller; may be null.
+  /// Shared execution governor; after an interrupt the result is a lower
+  /// bound. Owned by the caller; may be null.
   ExecutionContext* exec = nullptr;
 };
 

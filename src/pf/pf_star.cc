@@ -21,7 +21,7 @@ PfStarResult PolarizationFactorStar(const SignedGraph& graph,
                                     const PfStarOptions& options) {
   PfStarResult result;
   PfStarStats& stats = result.stats;
-  ExecutionScope scope(options.exec, options.time_limit_seconds);
+  ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
 
   // Line 1: heuristic lower bound τ* = min side of MBC-Heu(G, 0).

@@ -8,7 +8,6 @@
 #define MBC_PF_PF_STAR_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "src/common/execution.h"
 #include "src/core/balanced_clique.h"
@@ -34,13 +33,9 @@ struct PfStarOptions {
   /// Owned by the caller; may be null.
   const BalancedClique* initial_clique = nullptr;
 
-  /// Wall-clock safety budget (unset = unlimited, the paper's setting).
-  /// On expiry the current τ* is returned (a valid lower bound of β) with
-  /// stats.timed_out set. Ignored when `exec` is supplied.
-  std::optional<double> time_limit_seconds;
-
-  /// Shared execution governor; takes precedence over time_limit_seconds.
-  /// Owned by the caller; may be null.
+  /// Shared execution governor; on an interrupt the current τ* is
+  /// returned (a valid lower bound of β) with stats.timed_out set. Owned
+  /// by the caller; null runs ungoverned (the paper's setting).
   ExecutionContext* exec = nullptr;
 
   /// Caller-owned DCC solver to run the checks through instead of a

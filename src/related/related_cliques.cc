@@ -251,7 +251,7 @@ AlphaKCliqueResult MaxAlphaKClique(const SignedGraph& graph,
   AlphaKCliqueResult result;
   const VertexId n = graph.NumVertices();
   if (n == 0) return result;
-  ExecutionScope scope(options.exec, options.time_limit_seconds);
+  ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
 
   const DegeneracyResult degeneracy = DegeneracyDecompose(graph);

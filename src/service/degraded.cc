@@ -5,60 +5,32 @@
 #include <vector>
 
 #include "src/core/mbc_heu.h"
-#include "src/graph/cores.h"
 
 namespace mbc {
-namespace {
-
-constexpr size_t kNumAnchors = 4;
-
-/// The last vertices of the peeling order live in the densest region of
-/// the graph (highest core numbers) — the natural anchor pool for a
-/// greedy that wants a large dichromatic neighborhood to grow in.
-std::vector<VertexId> DenseAnchors(const SignedGraph& graph) {
-  const DegeneracyResult degeneracy = DegeneracyDecompose(graph);
-  std::vector<VertexId> anchors;
-  const size_t n = degeneracy.order.size();
-  const size_t take = std::min(kNumAnchors, n);
-  anchors.reserve(take);
-  for (size_t i = 0; i < take; ++i) {
-    anchors.push_back(degeneracy.order[n - 1 - i]);
-  }
-  return anchors;
-}
-
-}  // namespace
 
 QueryResult ComputeDegradedResult(const SignedGraph& graph, QueryKind kind,
                                   uint32_t tau) {
   QueryResult result;
   if (graph.NumVertices() == 0) return result;
 
+  // The heuristic tier with local search off: the five degree/polar
+  // anchors plus the degeneracy tail, one O(m) greedy each.
+  MbcHeuOptions options;
+  options.local_search_iterations = 0;
+
   if (kind == QueryKind::kMbc || kind == QueryKind::kMbcHeu ||
       kind == QueryKind::kMbcTol) {
-    // The promoted heuristic tier with local search off: exactly the
-    // historical brownout sweep (the five degree/polar anchors plus the
-    // degeneracy tail), O(m) per anchor. A balanced clique frustrates no
-    // edge, so the same lower bound serves the tolerant kind for any
-    // budget (result.frustrated stays 0).
-    MbcHeuOptions options;
-    options.local_search_iterations = 0;
-    options.degeneracy_anchors = kNumAnchors;
+    // A balanced clique frustrates no edge, so the same lower bound serves
+    // the tolerant kind for any budget (result.frustrated stays 0).
     result.clique = MbcHeuristicSearch(graph, tau, options).clique;
     return result;
   }
 
   // PF / gMBC. The anchored greedy does not depend on tau (tau only
-  // filters its result), so each anchor runs once and every tau below
-  // reads the same pool: the five degree/polar anchors of MbcHeuristic,
-  // then the dense tail of the degeneracy order.
-  std::vector<BalancedClique> pool;
-  for (const VertexId anchor : DegreeAndPolarAnchors(graph)) {
-    pool.push_back(MbcHeuristicAt(graph, anchor, /*tau=*/0));
-  }
-  for (const VertexId anchor : DenseAnchors(graph)) {
-    pool.push_back(MbcHeuristicAt(graph, anchor, /*tau=*/0));
-  }
+  // filters its result), so one run yields every anchor's clique and
+  // every tau below reads that pool.
+  const std::vector<BalancedClique> pool =
+      MbcHeuristicSearch(graph, /*tau=*/0, options).anchor_cliques;
 
   // Every pooled clique with min side s certifies beta(G) >= s (the same
   // certificate PF* seeds its binary search with); keep the largest.

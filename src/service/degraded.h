@@ -2,7 +2,8 @@
 //
 // The degraded answer tier served under brownout: a degeneracy-ordered
 // greedy lower bound instead of an exact search. Anchored MBC-Heu runs
-// (Algorithm 3 of the paper, O(m) each) at the densest vertices of the
+// (Algorithm 3 of the paper, O(m) each; MbcHeuristicSearch with local
+// search off) at the degree/polar anchors and the densest vertices of the
 // degeneracy order produce a feasible balanced clique whose size lower-
 // bounds the exact MBC answer and whose min side lower-bounds beta(G) —
 // the same well-defined "cheap answer" structure the heuristic-tier

@@ -133,7 +133,9 @@ struct QueryResponse {
   /// A brownout answer: a greedy lower bound (see degraded.h), not the
   /// exact result. Serialized as "degraded":true so clients can tell.
   bool degraded = false;
-  /// Wall-clock seconds spent serving (queue wait + solve).
+  /// Wall-clock seconds from a worker picking the request up to its
+  /// answer (cache lookup or solve); excludes the admission queue wait.
+  /// 0 for a cache hit answered at admission under brownout.
   double seconds = 0.0;
 };
 

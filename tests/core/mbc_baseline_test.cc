@@ -54,8 +54,9 @@ TEST(MbcBaselineTest, NoEdgeReductionVariantAgrees) {
 
 TEST(MbcBaselineTest, TimeLimitProducesPartialResult) {
   const SignedGraph graph = RandomSignedGraph(300, 4000, 0.45, 2);
+  ExecutionContext exec(Deadline::After(0.0));  // expired on arrival
   MbcBaselineOptions options;
-  options.time_limit_seconds = 0.0;  // expire immediately
+  options.exec = &exec;
   const MbcBaselineResult result =
       MaxBalancedCliqueBaseline(graph, 1, options);
   EXPECT_TRUE(result.timed_out);

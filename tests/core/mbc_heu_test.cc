@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/core/verify.h"
 #include "src/datasets/generators.h"
 #include "tests/test_util.h"
@@ -51,12 +54,27 @@ TEST(MbcHeuTest, ReturnsEmptyWhenThresholdUnreachable) {
   EXPECT_TRUE(clique.empty());
 }
 
-TEST(MbcHeuTest, AnchoredVariantUsesGivenVertex) {
+TEST(MbcHeuTest, AnswersFromTheAnchorGreedyCliques) {
+  // MbcHeuristic is the largest of the five anchors' greedy cliques that
+  // satisfies tau, and each of those greedy cliques is balanced.
   const SignedGraph graph = Figure2Graph();
-  // Anchored at v1 (id 0), the reachable clique is {v1, v2 | v3, v4}.
-  const BalancedClique clique = MbcHeuristicAt(graph, 0, 2);
-  EXPECT_TRUE(IsBalancedClique(graph, clique));
-  EXPECT_EQ(clique.size(), 4u);
+  MbcHeuOptions greedy_only;
+  greedy_only.local_search_iterations = 0;
+  greedy_only.degeneracy_anchors = 0;
+  const std::vector<BalancedClique> pool =
+      MbcHeuristicSearch(graph, 0, greedy_only).anchor_cliques;
+  ASSERT_FALSE(pool.empty());
+  ASSERT_LE(pool.size(), 5u);
+  for (uint32_t tau = 0; tau <= 3; ++tau) {
+    size_t expected = 0;
+    for (const BalancedClique& clique : pool) {
+      EXPECT_TRUE(IsBalancedClique(graph, clique));
+      if (clique.SatisfiesThreshold(tau)) {
+        expected = std::max(expected, clique.size());
+      }
+    }
+    EXPECT_EQ(MbcHeuristic(graph, tau).size(), expected) << "tau=" << tau;
+  }
 }
 
 TEST(MbcHeuTest, RecoversLargePlantedClique) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/execution.h"
+#include "src/core/mbc_heu.h"
 #include "src/core/mbc_star.h"
 #include "src/core/reductions.h"
 #include "src/core/verify.h"
@@ -21,22 +22,53 @@ namespace {
 
 using testing_util::RandomSignedGraph;
 
-TEST(TimeLimitTest, MbcStarZeroBudgetStillReturnsValidClique) {
+SignedGraph PlantedGraph() {
   const SignedGraph base = RandomSignedGraph(800, 6000, 0.4, 3);
-  const SignedGraph graph = PlantBalancedCliques(base, {{5, 6}}, 1);
+  return PlantBalancedCliques(base, {{5, 6}}, 1);
+}
+
+TEST(TimeLimitTest, MbcStarZeroBudgetStillReturnsValidClique) {
+  const SignedGraph graph = PlantedGraph();
+  ExecutionContext exec(Deadline::After(0.0));
   MbcStarOptions options;
-  options.time_limit_seconds = 0.0;
+  options.exec = &exec;
   const MbcStarResult result = MaxBalancedCliqueStar(graph, 2, options);
-  // The heuristic runs before the budget check, so a clique is returned.
+  // Only the heuristic's first anchor runs, and at τ=2 its greedy clique
+  // misses the threshold here, so the answer is empty — still valid.
   EXPECT_TRUE(IsBalancedClique(graph, result.clique));
   EXPECT_TRUE(result.stats.timed_out);
   EXPECT_EQ(result.stats.interrupt_reason, InterruptReason::kDeadline);
 }
 
+// MBC-Heu's first anchor runs to completion whatever the governor says, so
+// MBC*'s Line 2 seeds the answer with that anchor's full greedy clique even
+// when the budget expired before the solve began.
+TEST(TimeLimitTest, MbcStarZeroBudgetKeepsFirstAnchorGreedy) {
+  const SignedGraph graph = PlantedGraph();
+  for (const uint32_t tau : {0u, 1u}) {
+    const SignedGraph reduced = ApplyVertexReduction(graph, tau).graph;
+    const BalancedClique first_greedy =
+        MbcHeuristicSearch(reduced, tau).anchor_cliques.front();
+    ASSERT_GE(first_greedy.MinSide(), tau);
+    ASSERT_GT(first_greedy.size(), 1u);
+
+    ExecutionContext exec(Deadline::After(0.0));
+    MbcStarOptions options;
+    options.exec = &exec;
+    const MbcStarResult result = MaxBalancedCliqueStar(graph, tau, options);
+    EXPECT_EQ(result.stats.heuristic_size, first_greedy.size())
+        << "tau=" << tau;
+    EXPECT_EQ(result.clique.size(), first_greedy.size()) << "tau=" << tau;
+    EXPECT_TRUE(IsBalancedClique(graph, result.clique));
+    EXPECT_EQ(result.stats.interrupt_reason, InterruptReason::kDeadline);
+  }
+}
+
 TEST(TimeLimitTest, MbcStarGenerousBudgetIsExact) {
   const SignedGraph graph = testing_util::Figure2Graph();
+  ExecutionContext exec(Deadline::After(1e6));
   MbcStarOptions options;
-  options.time_limit_seconds = 1e6;
+  options.exec = &exec;
   const MbcStarResult result = MaxBalancedCliqueStar(graph, 2, options);
   EXPECT_FALSE(result.stats.timed_out);
   EXPECT_EQ(result.stats.interrupt_reason, InterruptReason::kNone);
@@ -68,8 +100,9 @@ TEST(TimeLimitTest, EdgeReductionPartialIsSupersetOfFull) {
 TEST(TimeLimitTest, PfStarZeroBudgetReturnsHeuristicLowerBound) {
   const SignedGraph base = RandomSignedGraph(600, 4000, 0.4, 7);
   const SignedGraph graph = PlantBalancedCliques(base, {{4, 4}}, 2);
+  ExecutionContext exec(Deadline::After(0.0));
   PfStarOptions options;
-  options.time_limit_seconds = 0.0;
+  options.exec = &exec;
   const PfStarResult result = PolarizationFactorStar(graph, options);
   // The result is a valid lower bound with a valid witness.
   EXPECT_TRUE(IsBalancedClique(graph, result.witness));
@@ -82,8 +115,9 @@ TEST(TimeLimitTest, PfStarZeroBudgetReturnsHeuristicLowerBound) {
 TEST(TimeLimitTest, GmbcStarZeroBudgetKeepsInvariants) {
   const SignedGraph base = RandomSignedGraph(500, 3500, 0.4, 11);
   const SignedGraph graph = PlantBalancedCliques(base, {{3, 4}}, 5);
+  ExecutionContext exec(Deadline::After(0.0));
   GeneralizedMbcOptions options;
-  options.time_limit_seconds = 0.0;
+  options.exec = &exec;
   const GeneralizedMbcResult result = GeneralizedMbcStar(graph, options);
   ASSERT_EQ(result.cliques.size(), static_cast<size_t>(result.beta) + 1);
   for (uint32_t tau = 0; tau <= result.beta; ++tau) {
@@ -96,8 +130,9 @@ TEST(TimeLimitTest, GmbcStarZeroBudgetKeepsInvariants) {
 
 TEST(TimeLimitTest, ExpiredBudgetSetsFlagOnHardInstance) {
   const SignedGraph graph = RandomSignedGraph(3000, 60000, 0.45, 13);
+  ExecutionContext exec(Deadline::After(0.0));
   MbcStarOptions options;
-  options.time_limit_seconds = 0.0;
+  options.exec = &exec;
   options.run_heuristic = false;
   const MbcStarResult result = MaxBalancedCliqueStar(graph, 1, options);
   EXPECT_TRUE(result.stats.timed_out);
@@ -105,13 +140,12 @@ TEST(TimeLimitTest, ExpiredBudgetSetsFlagOnHardInstance) {
 }
 
 TEST(TimeLimitTest, SharedContextDeadlineIsObservedBySolver) {
-  // A caller-owned context with an already-expired deadline must win over
-  // (and not be clobbered by) the legacy time_limit_seconds option.
+  // A caller-owned context with an already-expired deadline stops the
+  // search and reports through the solver's stats.
   const SignedGraph graph = RandomSignedGraph(400, 3000, 0.4, 17);
   ExecutionContext exec(Deadline::After(0.0));
   MbcStarOptions options;
   options.exec = &exec;
-  options.time_limit_seconds = 1e6;  // ignored: exec takes precedence
   const MbcStarResult result = MaxBalancedCliqueStar(graph, 1, options);
   EXPECT_TRUE(result.stats.timed_out);
   EXPECT_EQ(result.stats.interrupt_reason, InterruptReason::kDeadline);

@@ -49,8 +49,9 @@ TEST_F(PipelineTest, SolversAgree) {
   const MbcAdvResult adv = MaxBalancedCliqueAdv(graph(), 3);
   EXPECT_FALSE(adv.timed_out);
   EXPECT_EQ(star, adv.clique.size());
+  ExecutionContext baseline_exec(Deadline::After(60.0));
   MbcBaselineOptions baseline_options;
-  baseline_options.time_limit_seconds = 60.0;
+  baseline_options.exec = &baseline_exec;
   const MbcBaselineResult baseline =
       MaxBalancedCliqueBaseline(graph(), 3, baseline_options);
   if (!baseline.timed_out) {

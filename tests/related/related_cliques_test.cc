@@ -127,7 +127,8 @@ TEST(AlphaKCliqueTest, TimeLimitDegradesGracefully) {
   AlphaKCliqueOptions options;
   options.alpha = 1.0;
   options.k = 2;
-  options.time_limit_seconds = 0.0;
+  ExecutionContext exec(Deadline::After(0.0));
+  options.exec = &exec;
   const AlphaKCliqueResult result = MaxAlphaKClique(graph, options);
   if (!result.clique.empty()) {
     EXPECT_TRUE(IsAlphaKClique(graph, result.clique, 1.0, 2));

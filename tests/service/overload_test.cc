@@ -18,7 +18,6 @@
 #include "src/core/mbc_heu.h"
 #include "src/core/verify.h"
 #include "src/datasets/families.h"
-#include "src/graph/cores.h"
 #include "src/service/degraded.h"
 #include "src/service/jsonl.h"
 #include "src/service/overload.h"
@@ -346,52 +345,23 @@ TEST(DegradedResultTest, DeterministicAcrossCalls) {
   }
 }
 
-// The four densest degeneracy anchors the brownout tier adds to the
-// five degree/polar anchors of MbcHeuristic.
-std::vector<VertexId> DenseDegeneracyAnchors(const SignedGraph& graph) {
-  const DegeneracyResult degeneracy = DegeneracyDecompose(graph);
-  std::vector<VertexId> dense;
-  const size_t n = degeneracy.order.size();
-  for (size_t i = 0; i < std::min<size_t>(4, n); ++i) {
-    dense.push_back(degeneracy.order[n - 1 - i]);
-  }
-  return dense;
+// The greedy-only heuristic tier, as the brownout tier runs it.
+MbcHeuOptions GreedyOnly() {
+  MbcHeuOptions options;
+  options.local_search_iterations = 0;
+  return options;
 }
 
-// The brownout PF/gMBC answer as it was first formulated: the greedy
-// re-run at every tau in [0, beta] over the five degree/polar anchors
-// (MbcHeuristic) and the four densest degeneracy anchors.
+// The brownout PF/gMBC answer in its per-tau formulation: one greedy
+// heuristic run per tau, beta the largest tau with a non-empty answer.
 QueryResult PerTauDegradedReference(const SignedGraph& graph) {
-  const std::vector<VertexId> dense = DenseDegeneracyAnchors(graph);
-  auto min_side = [](const BalancedClique& c) {
-    return static_cast<uint32_t>(c.MinSide());
-  };
   QueryResult result;
-  BalancedClique widest = MbcHeuristic(graph, 1);
-  for (const VertexId anchor : dense) {
-    BalancedClique candidate = MbcHeuristicAt(graph, anchor, 1);
-    if (min_side(candidate) > min_side(widest) ||
-        (min_side(candidate) == min_side(widest) &&
-         candidate.size() > widest.size())) {
-      widest = std::move(candidate);
-    }
-  }
-  result.beta = min_side(widest);
-  for (uint32_t t = 0; t <= result.beta; ++t) {
-    uint32_t size = static_cast<uint32_t>(widest.size());
-    size = std::max(size,
-                    static_cast<uint32_t>(MbcHeuristic(graph, t).size()));
-    for (const VertexId anchor : dense) {
-      const BalancedClique candidate = MbcHeuristicAt(graph, anchor, t);
-      if (min_side(candidate) >= t) {
-        size = std::max(size, static_cast<uint32_t>(candidate.size()));
-      }
-    }
-    result.gmbc_sizes.push_back(size);
-  }
-  for (size_t i = result.gmbc_sizes.size(); i-- > 1;) {
-    result.gmbc_sizes[i - 1] =
-        std::max(result.gmbc_sizes[i - 1], result.gmbc_sizes[i]);
+  for (uint32_t t = 0;; ++t) {
+    const BalancedClique clique =
+        MbcHeuristicSearch(graph, t, GreedyOnly()).clique;
+    if (clique.empty()) break;
+    result.beta = t;
+    result.gmbc_sizes.push_back(static_cast<uint32_t>(clique.size()));
   }
   return result;
 }
@@ -415,14 +385,10 @@ TEST(DegradedResultTest, AnchorPoolMatchesPerTauGreedy) {
     ASSERT_TRUE(generated.ok()) << family;
     const SignedGraph& graph = generated.value();
     const QueryResult expected = PerTauDegradedReference(graph);
-    std::vector<VertexId> anchors = DegreeAndPolarAnchors(graph);
-    for (const VertexId anchor : DenseDegeneracyAnchors(graph)) {
-      anchors.push_back(anchor);
-    }
     size_t widest_min = 0;
-    for (const VertexId anchor : anchors) {
-      widest_min =
-          std::max(widest_min, MbcHeuristicAt(graph, anchor, 0).MinSide());
+    for (const BalancedClique& clique :
+         MbcHeuristicSearch(graph, 0, GreedyOnly()).anchor_cliques) {
+      widest_min = std::max(widest_min, clique.MinSide());
     }
     const QueryResult gmbc = ComputeDegradedResult(graph, QueryKind::kGmbc, 0);
     EXPECT_EQ(gmbc.beta, expected.beta) << family;
