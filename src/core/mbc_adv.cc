@@ -150,18 +150,10 @@ MbcAdvResult MaxBalancedCliqueAdv(const SignedGraph& graph, uint32_t tau,
     prune_bound = std::max<size_t>(prune_bound, 2 * size_t{tau} - 1);
   }
 
-  const std::vector<uint8_t> core_alive =
-      KCoreMask(reduced.graph, static_cast<uint32_t>(prune_bound));
-  std::vector<VertexId> keep;
-  for (VertexId v = 0; v < reduced.graph.NumVertices(); ++v) {
-    if (core_alive[v]) keep.push_back(v);
-  }
-  SignedGraph::InducedResult cored = reduced.graph.InducedSubgraph(keep);
+  const ReducedSignedGraph cored =
+      ApplyCoreReduction(reduced, static_cast<uint32_t>(prune_bound));
   const SignedGraph& work = cored.graph;
-  std::vector<VertexId> to_input(work.NumVertices());
-  for (VertexId v = 0; v < work.NumVertices(); ++v) {
-    to_input[v] = reduced.to_original[cored.to_original[v]];
-  }
+  const std::vector<VertexId>& to_input = cored.to_original;
 
   if (work.NumVertices() > 0) {
     const DegeneracyResult degeneracy = DegeneracyDecompose(work);

@@ -391,19 +391,10 @@ ParallelMbcResult ParallelMaxBalancedCliqueStar(
   // Tie-preserving outer core (MBC* peels at prune_bound): members of a
   // clique that merely *ties* the heuristic have degree prune_bound - 1,
   // and the canonical tie-break needs those cliques to stay reachable.
-  const std::vector<uint8_t> core_alive = KCoreMask(
-      reduced.graph,
-      prune_bound > 0 ? static_cast<uint32_t>(prune_bound - 1) : 0);
-  std::vector<VertexId> keep;
-  for (VertexId v = 0; v < reduced.graph.NumVertices(); ++v) {
-    if (core_alive[v]) keep.push_back(v);
-  }
-  SignedGraph::InducedResult cored = reduced.graph.InducedSubgraph(keep);
+  const ReducedSignedGraph cored = ApplyCoreReduction(
+      reduced, prune_bound > 0 ? static_cast<uint32_t>(prune_bound - 1) : 0);
   const SignedGraph& work = cored.graph;
-  std::vector<VertexId> to_input(work.NumVertices());
-  for (VertexId v = 0; v < work.NumVertices(); ++v) {
-    to_input[v] = reduced.to_original[cored.to_original[v]];
-  }
+  const std::vector<VertexId>& to_input = cored.to_original;
 
   GlobalIncumbent global;
   global.best = std::move(best);

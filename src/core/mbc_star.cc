@@ -87,19 +87,11 @@ MbcStarResult MaxBalancedCliqueStar(const SignedGraph& graph, uint32_t tau,
   // ---- Phase 3: search (Lines 3-8). ----
   phase.Restart();
   // Line 3: reduce to the |C*|-core (signs ignored) and renumber.
-  const std::vector<uint8_t> core_alive =
-      KCoreMask(reduced.graph, static_cast<uint32_t>(prune_bound));
-  std::vector<VertexId> keep;
-  for (VertexId v = 0; v < reduced.graph.NumVertices(); ++v) {
-    if (core_alive[v]) keep.push_back(v);
-  }
-  SignedGraph::InducedResult cored = reduced.graph.InducedSubgraph(keep);
+  const ReducedSignedGraph cored =
+      ApplyCoreReduction(reduced, static_cast<uint32_t>(prune_bound));
   const SignedGraph& work = cored.graph;
   // work id -> input id.
-  std::vector<VertexId> to_input(work.NumVertices());
-  for (VertexId v = 0; v < work.NumVertices(); ++v) {
-    to_input[v] = reduced.to_original[cored.to_original[v]];
-  }
+  const std::vector<VertexId>& to_input = cored.to_original;
 
   if (work.NumVertices() > 0) {
     // Line 4: degeneracy ordering.

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/graph/cores.h"
 #include "src/graph/signed_graph_builder.h"
 #include "src/graph/triangles.h"
 
@@ -47,9 +48,12 @@ std::vector<uint8_t> VertexReductionMask(const SignedGraph& graph,
   return alive;
 }
 
-ReducedSignedGraph ApplyVertexReduction(const SignedGraph& graph,
-                                        uint32_t tau) {
-  const std::vector<uint8_t> alive = VertexReductionMask(graph, tau);
+namespace {
+
+/// The subgraph induced by the alive vertices, renumbered in ascending id
+/// order (so InducedSubgraph needs no row sort).
+ReducedSignedGraph InduceAlive(const SignedGraph& graph,
+                               const std::vector<uint8_t>& alive) {
   std::vector<VertexId> keep;
   for (VertexId v = 0; v < graph.NumVertices(); ++v) {
     if (alive[v]) keep.push_back(v);
@@ -57,6 +61,21 @@ ReducedSignedGraph ApplyVertexReduction(const SignedGraph& graph,
   SignedGraph::InducedResult induced = graph.InducedSubgraph(keep);
   return ReducedSignedGraph{std::move(induced.graph),
                             std::move(induced.to_original)};
+}
+
+}  // namespace
+
+ReducedSignedGraph ApplyVertexReduction(const SignedGraph& graph,
+                                        uint32_t tau) {
+  return InduceAlive(graph, VertexReductionMask(graph, tau));
+}
+
+ReducedSignedGraph ApplyCoreReduction(const ReducedSignedGraph& reduced,
+                                      uint32_t k) {
+  ReducedSignedGraph cored =
+      InduceAlive(reduced.graph, KCoreMask(reduced.graph, k));
+  for (VertexId& v : cored.to_original) v = reduced.to_original[v];
+  return cored;
 }
 
 SignedGraph EdgeReduction(const SignedGraph& graph, uint32_t tau,

@@ -46,6 +46,12 @@ struct ReducedSignedGraph {
 ReducedSignedGraph ApplyVertexReduction(const SignedGraph& graph,
                                         uint32_t tau);
 
+/// Reduces `reduced.graph` to its k-core (signs ignored, KCoreMask) and
+/// renumbers it. The result's to_original maps the core's ids straight to
+/// the ids of the graph `reduced` was reduced from. O(n + m).
+ReducedSignedGraph ApplyCoreReduction(const ReducedSignedGraph& reduced,
+                                      uint32_t k);
+
 }  // namespace mbc
 
 #endif  // MBC_CORE_REDUCTIONS_H_

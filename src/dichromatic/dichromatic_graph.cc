@@ -44,14 +44,6 @@ void DichromaticGraph::SetSide(uint32_t v, Side side) {
   });
 }
 
-void DichromaticGraph::AddEdge(uint32_t a, uint32_t b) {
-  MBC_DCHECK(a != b);
-  adjacency_[a].Set(b);
-  adjacency_[b].Set(a);
-  (IsLeft(b) ? adj_left_ : adj_right_)[a].Set(b);
-  (IsLeft(a) ? adj_left_ : adj_right_)[b].Set(a);
-}
-
 uint64_t DichromaticGraph::EdgesWithin(const Bitset& within) const {
   uint64_t twice = 0;
   within.ForEach([this, &within, &twice](size_t v) {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/common/bitset.h"
+#include "src/common/logging.h"
 #include "src/common/types.h"
 
 namespace mbc {
@@ -46,8 +47,16 @@ class DichromaticGraph {
   }
   bool IsLeft(uint32_t v) const { return left_mask_.Test(v); }
 
-  /// Adds undirected edge {a, b}. Precondition: a != b.
-  void AddEdge(uint32_t a, uint32_t b);
+  /// Adds undirected edge {a, b}. Precondition: a != b. Inline: the
+  /// network builder calls it once per kept edge with `a` fixed for a run
+  /// of calls.
+  void AddEdge(uint32_t a, uint32_t b) {
+    MBC_DCHECK(a != b);
+    adjacency_[a].Set(b);
+    adjacency_[b].Set(a);
+    (IsLeft(b) ? adj_left_ : adj_right_)[a].Set(b);
+    (IsLeft(a) ? adj_left_ : adj_right_)[b].Set(a);
+  }
   bool HasEdge(uint32_t a, uint32_t b) const {
     return adjacency_[a].Test(b);
   }

@@ -40,8 +40,8 @@ RankedOutLists::RankedOutLists(const SignedGraph& graph, const uint32_t* rank)
 
 DichromaticNetworkBuilder::DichromaticNetworkBuilder(const SignedGraph& graph)
     : graph_(graph),
-      local_id_(graph.NumVertices(), 0),
-      stamp_(graph.NumVertices(), 0) {}
+      keys_(graph.NumVertices(), 0),
+      local_id_(graph.NumVertices(), 0) {}
 
 DichromaticNetworkBuilder::DichromaticNetworkBuilder(
     const SignedGraph& graph, const RankedOutLists& out_lists)
@@ -69,7 +69,12 @@ void DichromaticNetworkBuilder::BuildInto(VertexId u, const uint32_t* rank,
   // silently build wrong networks. One compare per build.
   MBC_CHECK(rank == nullptr || out_->rank() == rank)
       << "BuildInto rank differs from the rank the out-lists were built from";
-  ++current_stamp_;
+  // The stamp shares its key with the side bit, so it has 31 bits; on
+  // wrap-around every key is cleared, so no stale key can match.
+  if (++current_stamp_ == kStampLimit) {
+    std::fill(keys_.begin(), keys_.end(), 0);
+    current_stamp_ = 1;
+  }
 
   DichromaticNetwork& net = *out;
   net.to_original.clear();
@@ -77,19 +82,20 @@ void DichromaticNetworkBuilder::BuildInto(VertexId u, const uint32_t* rank,
   net.dichromatic_edges = 0;
   net.to_original.push_back(u);  // local 0 = u
 
-  auto admit = [&](std::span<const VertexId> candidates) {
+  auto admit = [&](std::span<const VertexId> candidates, uint32_t left) {
+    const uint32_t key = current_stamp_ << 1 | left;
     for (VertexId v : candidates) {
       if (alive != nullptr && !alive[v]) continue;
+      keys_[v] = key;
       local_id_[v] = static_cast<uint32_t>(net.to_original.size());
-      stamp_[v] = current_stamp_;
       net.to_original.push_back(v);
     }
   };
   // V_L first (positive neighbors), then V_R (negative neighbors), each in
   // ascending id order; the sides are recorded below by index range.
-  admit(rank != nullptr ? out_->Positive(u) : graph_.PositiveNeighbors(u));
+  admit(rank != nullptr ? out_->Positive(u) : graph_.PositiveNeighbors(u), 1);
   const uint32_t num_left = static_cast<uint32_t>(net.to_original.size());
-  admit(rank != nullptr ? out_->Negative(u) : graph_.NegativeNeighbors(u));
+  admit(rank != nullptr ? out_->Negative(u) : graph_.NegativeNeighbors(u), 0);
 
   const uint32_t k = static_cast<uint32_t>(net.to_original.size());
   net.graph.Reset(k);
@@ -102,41 +108,42 @@ void DichromaticNetworkBuilder::BuildInto(VertexId u, const uint32_t* rank,
 
   // Edges among the members (excluding u, which is never stamped): each
   // is met once, in the out-list of its lower-ranked endpoint, or for a
-  // rank-less build in the id-suffix of its lower-id endpoint. Classify
-  // it against the sides.
-  auto add_edges = [&](uint32_t i, std::span<const VertexId> positive,
-                       std::span<const VertexId> negative) {
-    const bool x_left = i < num_left;
-    for (VertexId y : positive) {
-      if (stamp_[y] != current_stamp_) continue;
-      ++net.ego_edges;
-      const uint32_t j = local_id_[y];
-      // A positive edge is non-conflicting iff both endpoints are on the
-      // same side.
-      if (x_left == (j < num_left)) {
-        net.graph.AddEdge(i, j);
-        ++net.dichromatic_edges;
-      }
+  // rank-less build in the id-suffix of its lower-id endpoint. An entry
+  // is a hit iff its stamp is current, and kept iff it is also
+  // non-conflicting: a positive edge within one side or a negative edge
+  // across the sides, so the wanted side bit is x's XOR `negative`. About
+  // a third of hits conflict, in no pattern a branch predictor learns, so
+  // the scan is branch-free: one compare of the whole key decides `keep`,
+  // every entry is written to the scratch, and the kept count advances by
+  // `keep`. Only the kept entries then read their local ids.
+  auto add_edges = [&](uint32_t i, std::span<const VertexId> list,
+                       uint32_t negative) {
+    if (kept_.size() < list.size()) kept_.resize(list.size());
+    uint32_t* kept = kept_.data();
+    const uint32_t hit_key = current_stamp_ << 1 | 1;
+    const uint32_t want = current_stamp_ << 1 | ((i < num_left) ^ negative);
+    uint32_t hits = 0;
+    uint32_t num_kept = 0;
+    for (VertexId y : list) {
+      const uint32_t key = keys_[y];
+      kept[num_kept] = y;
+      num_kept += key == want;
+      hits += (key | 1) == hit_key;
     }
-    for (VertexId y : negative) {
-      if (stamp_[y] != current_stamp_) continue;
-      ++net.ego_edges;
-      const uint32_t j = local_id_[y];
-      // A negative edge is non-conflicting iff the endpoints are on
-      // opposite sides.
-      if (x_left != (j < num_left)) {
-        net.graph.AddEdge(i, j);
-        ++net.dichromatic_edges;
-      }
+    for (uint32_t t = 0; t < num_kept; ++t) {
+      net.graph.AddEdge(i, local_id_[kept[t]]);
     }
+    net.ego_edges += hits;
+    net.dichromatic_edges += num_kept;
   };
   for (uint32_t i = 1; i < k; ++i) {
     const VertexId x = net.to_original[i];
     if (rank != nullptr) {
-      add_edges(i, out_->Positive(x), out_->Negative(x));
+      add_edges(i, out_->Positive(x), 0);
+      add_edges(i, out_->Negative(x), 1);
     } else {
-      add_edges(i, IdSuffix(graph_.PositiveNeighbors(x), x),
-                IdSuffix(graph_.NegativeNeighbors(x), x));
+      add_edges(i, IdSuffix(graph_.PositiveNeighbors(x), x), 0);
+      add_edges(i, IdSuffix(graph_.NegativeNeighbors(x), x), 1);
     }
   }
 }

@@ -125,10 +125,16 @@ class DichromaticNetworkBuilder {
   // ranked call) or a borrowed shared copy.
   RankedOutLists owned_out_;
   const RankedOutLists* out_ = nullptr;
-  // old vertex id -> local id, valid only when stamp matches.
+  // Per vertex: key = stamp << 1 | (1 if an L-member), and the local id,
+  // valid only while the key's stamp is current. Kept apart so the
+  // out-list scan reads 4 bytes per entry.
+  static constexpr uint32_t kStampLimit = uint32_t{1} << 31;
+  std::vector<uint32_t> keys_;
   std::vector<uint32_t> local_id_;
-  std::vector<uint32_t> stamp_;
   uint32_t current_stamp_ = 0;
+  // The kept entries of the out-list being classified; grows to the
+  // longest list once, so warm refills do not allocate.
+  std::vector<uint32_t> kept_;
 };
 
 }  // namespace mbc

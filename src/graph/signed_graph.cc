@@ -4,7 +4,6 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
-#include "src/graph/signed_graph_builder.h"
 
 namespace mbc {
 namespace {
@@ -43,32 +42,53 @@ SignedGraph::InducedResult SignedGraph::InducedSubgraph(
   std::vector<VertexId> to_original(vertices.begin(), vertices.end());
   // Map old id -> new id; kInvalidVertex marks "not selected".
   std::vector<VertexId> to_new(num_vertices_, kInvalidVertex);
+  bool ascending = true;
   for (size_t i = 0; i < to_original.size(); ++i) {
     const VertexId old_id = to_original[i];
     MBC_CHECK_LT(old_id, num_vertices_);
     MBC_CHECK(to_new[old_id] == kInvalidVertex)
         << "duplicate vertex in induced subgraph selection";
     to_new[old_id] = static_cast<VertexId>(i);
+    ascending = ascending && (i == 0 || to_original[i - 1] < old_id);
   }
 
-  SignedGraphBuilder builder(static_cast<VertexId>(to_original.size()));
-  for (size_t i = 0; i < to_original.size(); ++i) {
-    const VertexId old_u = to_original[i];
-    const VertexId new_u = static_cast<VertexId>(i);
-    for (VertexId old_v : PositiveNeighbors(old_u)) {
-      const VertexId new_v = to_new[old_v];
-      if (new_v != kInvalidVertex && new_u < new_v) {
-        builder.AddEdge(new_u, new_v, Sign::kPositive);
+  // Filter each selected row through `to_new`. An ascending selection
+  // keeps to_new monotone on the kept ids, so every filtered row is
+  // already id-sorted; any other order sorts each row once.
+  const VertexId k = static_cast<VertexId>(to_original.size());
+  auto filter = [&](auto neighbors_of, std::vector<uint64_t>* offsets,
+                    std::vector<VertexId>* kept) {
+    // Reserve the selected rows' full length: pages past the kept entries
+    // are never touched, and shrink_to_fit below returns them.
+    uint64_t bound = 0;
+    for (VertexId old_u : to_original) bound += neighbors_of(old_u).size();
+    kept->reserve(bound);
+    offsets->assign(k + size_t{1}, 0);
+    for (VertexId new_u = 0; new_u < k; ++new_u) {
+      for (VertexId old_v : neighbors_of(to_original[new_u])) {
+        const VertexId new_v = to_new[old_v];
+        if (new_v != kInvalidVertex) kept->push_back(new_v);
+      }
+      (*offsets)[new_u + 1] = kept->size();
+      if (!ascending) {
+        std::sort(kept->begin() + static_cast<long>((*offsets)[new_u]),
+                  kept->end());
       }
     }
-    for (VertexId old_v : NegativeNeighbors(old_u)) {
-      const VertexId new_v = to_new[old_v];
-      if (new_v != kInvalidVertex && new_u < new_v) {
-        builder.AddEdge(new_u, new_v, Sign::kNegative);
-      }
-    }
-  }
-  return InducedResult{std::move(builder).Build(), std::move(to_original)};
+    kept->shrink_to_fit();
+  };
+  std::vector<uint64_t> pos_offsets;
+  std::vector<VertexId> pos_neighbors;
+  std::vector<uint64_t> neg_offsets;
+  std::vector<VertexId> neg_neighbors;
+  filter([this](VertexId v) { return PositiveNeighbors(v); }, &pos_offsets,
+         &pos_neighbors);
+  filter([this](VertexId v) { return NegativeNeighbors(v); }, &neg_offsets,
+         &neg_neighbors);
+  return InducedResult{
+      FromOwnedCsr(k, std::move(pos_offsets), std::move(pos_neighbors),
+                   std::move(neg_offsets), std::move(neg_neighbors)),
+      std::move(to_original)};
 }
 
 size_t SignedGraph::MemoryBytes() const {

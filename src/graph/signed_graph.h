@@ -103,7 +103,9 @@ class SignedGraph {
 
   /// Subgraph induced by `vertices` (which need not be sorted; duplicates
   /// are forbidden). Returns the subgraph plus `to_original`, mapping each
-  /// new vertex id to the id it had in this graph.
+  /// new vertex id to the id it had in this graph. Filters the selected
+  /// CSR rows in O(n + their degree sum); an ascending selection keeps the
+  /// rows sorted as they are, any other order sorts each row.
   struct InducedResult;
   InducedResult InducedSubgraph(std::span<const VertexId> vertices) const;
 

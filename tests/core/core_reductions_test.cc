@@ -2,11 +2,13 @@
 #include "src/core/reductions.h"
 
 #include <algorithm>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/brute_force.h"
 #include "src/core/verify.h"
+#include "src/graph/cores.h"
 #include "tests/test_util.h"
 
 namespace mbc {
@@ -68,6 +70,34 @@ TEST(ApplyVertexReductionTest, MappingIsConsistent) {
     EXPECT_EQ(graph.EdgeSign(reduced.to_original[u], reduced.to_original[v]),
               sign);
   });
+}
+
+TEST(ApplyCoreReductionTest, KeepsTheCoreInInputIds) {
+  const SignedGraph graph = RandomSignedGraph(120, 900, 0.4, 17);
+  const ReducedSignedGraph reduced = ApplyVertexReduction(graph, 2);
+  for (uint32_t k : {0u, 5u, 12u, 1000u}) {
+    const ReducedSignedGraph cored = ApplyCoreReduction(reduced, k);
+    // The survivors are exactly the k-core of reduced.graph, in ascending
+    // order, named by their ids in `graph`.
+    const std::vector<uint8_t> alive = KCoreMask(reduced.graph, k);
+    std::vector<VertexId> expected;
+    for (VertexId v = 0; v < reduced.graph.NumVertices(); ++v) {
+      if (alive[v]) expected.push_back(reduced.to_original[v]);
+    }
+    EXPECT_EQ(cored.to_original, expected) << "k=" << k;
+    cored.graph.ForEachEdge([&](VertexId u, VertexId v, Sign sign) {
+      EXPECT_EQ(graph.EdgeSign(cored.to_original[u], cored.to_original[v]),
+                sign)
+          << "k=" << k;
+    });
+    // ... and every edge among them survives.
+    uint64_t edges = 0;
+    graph.ForEachEdge([&](VertexId u, VertexId v, Sign) {
+      edges += std::binary_search(expected.begin(), expected.end(), u) &&
+               std::binary_search(expected.begin(), expected.end(), v);
+    });
+    EXPECT_EQ(cored.graph.NumEdges(), edges) << "k=" << k;
+  }
 }
 
 TEST(EdgeReductionTest, TauBelowTwoIsIdentity) {

@@ -286,6 +286,15 @@ std::vector<std::pair<std::string, SignedGraph>> EquivalenceGraphs() {
                                                     {"negative-ratio", "0.35"},
                                                     {"seed", "4"}})
                        .value());
+  // Dense enough that out-lists pass 64 entries, so ranked networks span
+  // several 64-bit adjacency words.
+  graphs.emplace_back(
+      "community-dense",
+      GenerateFromFamily("community", {{"vertices", "300"},
+                                       {"edges", "12000"},
+                                       {"negative-ratio", "0.35"},
+                                       {"seed", "5"}})
+          .value());
   graphs.emplace_back("hub", HubGraph());
   return graphs;
 }
@@ -305,6 +314,7 @@ TEST(NetworkBuilderTest, OutListBuildsMatchPairwiseReference) {
     std::vector<uint8_t> alive(n);
     for (VertexId v = 0; v < n; ++v) alive[v] = rng.NextBernoulli(0.75);
 
+    uint32_t max_ranked_k = 0;
     for (const auto& [rank_name, rank] : ranks) {
       const RankedOutLists out_lists(graph, rank.data());
       DichromaticNetworkBuilder shared(graph, out_lists);
@@ -324,6 +334,8 @@ TEST(NetworkBuilderTest, OutListBuildsMatchPairwiseReference) {
           own.BuildInto(u, rank.data(), mask, &from_own);
           ExpectMatchesReference(from_shared, ranked, at + " shared");
           ExpectMatchesReference(from_own, ranked, at + " own");
+          max_ranked_k =
+              std::max(max_ranked_k, from_shared.graph.NumVertices());
 
           const ReferenceNetwork full =
               BuildReference(graph, u, nullptr, mask);
@@ -332,6 +344,9 @@ TEST(NetworkBuilderTest, OutListBuildsMatchPairwiseReference) {
           if (::testing::Test::HasFatalFailure()) return;
         }
       }
+    }
+    if (name == "community-dense") {
+      EXPECT_GT(max_ranked_k, 64u) << "no ranked network spans two words";
     }
   }
 }

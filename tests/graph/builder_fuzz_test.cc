@@ -2,23 +2,28 @@
 //
 // Randomized differential test: SignedGraphBuilder + SignedGraph queried
 // against a naive map-of-pairs reference model, over many random edge
-// scripts including duplicates. Also adversarial byte-level cases for the
+// scripts including duplicates, and InducedSubgraph against the same
+// model for ascending, shuffled, empty and full selections. Also adversarial byte-level cases for the
 // binary reader: every malformed blob must come back as a clean Corruption
 // status, never a crash or an attempted giant allocation.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/fingerprint.h"
 #include "src/common/random.h"
 #include "src/graph/binary_io.h"
 #include "src/graph/signed_graph_builder.h"
+#include "tests/test_util.h"
 
 namespace mbc {
 namespace {
@@ -71,6 +76,71 @@ TEST(BuilderFuzzTest, MatchesReferenceModel) {
   }
 }
 
+// The builder round trip InducedSubgraph once took: every kept edge
+// through SignedGraphBuilder, which sorts the edges and each row. The CSR
+// filter must produce the same bytes.
+SignedGraph BuilderInduced(const SignedGraph& graph,
+                           const std::vector<VertexId>& selection) {
+  std::vector<VertexId> to_new(graph.NumVertices(), kInvalidVertex);
+  for (size_t i = 0; i < selection.size(); ++i) {
+    to_new[selection[i]] = static_cast<VertexId>(i);
+  }
+  SignedGraphBuilder builder(static_cast<VertexId>(selection.size()));
+  graph.ForEachEdge([&](VertexId u, VertexId v, Sign sign) {
+    if (to_new[u] != kInvalidVertex && to_new[v] != kInvalidVertex) {
+      builder.AddEdge(to_new[u], to_new[v], sign);
+    }
+  });
+  return std::move(builder).Build();
+}
+
+// Checks InducedSubgraph(selection) edge by edge against the model: the
+// id mapping, every edge's sign in both directions, sorted rows, and the
+// fingerprint of the builder round trip.
+void ExpectInducedMatchesModel(const SignedGraph& graph,
+                               const std::map<EdgeKey, Sign>& reference,
+                               const std::vector<VertexId>& selection,
+                               const std::string& where) {
+  const SignedGraph::InducedResult induced = graph.InducedSubgraph(selection);
+  const SignedGraph& sub = induced.graph;
+  ASSERT_EQ(sub.NumVertices(), selection.size()) << where;
+  EXPECT_EQ(induced.to_original, selection) << where;
+  std::vector<VertexId> to_new(graph.NumVertices(), kInvalidVertex);
+  for (size_t i = 0; i < selection.size(); ++i) {
+    to_new[selection[i]] = static_cast<VertexId>(i);
+  }
+
+  // Every model edge between selected vertices is present, with its sign.
+  uint64_t expected = 0;
+  for (const auto& [key, sign] : reference) {
+    const VertexId a = to_new[key.first];
+    const VertexId b = to_new[key.second];
+    if (a == kInvalidVertex || b == kInvalidVertex) continue;
+    ++expected;
+    EXPECT_EQ(sub.EdgeSign(a, b), sign) << where;
+    EXPECT_EQ(sub.EdgeSign(b, a), sign) << where;
+  }
+  EXPECT_EQ(sub.NumEdges(), expected) << where;
+  // ... and every induced edge maps back to a model edge of that sign.
+  sub.ForEachEdge([&](VertexId u, VertexId v, Sign sign) {
+    VertexId a = induced.to_original[u];
+    VertexId b = induced.to_original[v];
+    if (a > b) std::swap(a, b);
+    const auto it = reference.find({a, b});
+    ASSERT_NE(it, reference.end()) << where << " edge " << u << "," << v;
+    EXPECT_EQ(it->second, sign) << where << " edge " << u << "," << v;
+  });
+  for (VertexId v = 0; v < sub.NumVertices(); ++v) {
+    const auto pos = sub.PositiveNeighbors(v);
+    EXPECT_TRUE(std::is_sorted(pos.begin(), pos.end())) << where;
+    const auto neg = sub.NegativeNeighbors(v);
+    EXPECT_TRUE(std::is_sorted(neg.begin(), neg.end())) << where;
+  }
+  EXPECT_EQ(FingerprintSignedGraph(sub),
+            FingerprintSignedGraph(BuilderInduced(graph, selection)))
+      << where;
+}
+
 TEST(BuilderFuzzTest, InducedSubgraphMatchesModel) {
   Rng rng(555);
   for (int trial = 0; trial < 20; ++trial) {
@@ -90,23 +160,79 @@ TEST(BuilderFuzzTest, InducedSubgraphMatchesModel) {
     }
     const SignedGraph graph = std::move(builder).Build();
 
-    // Random selection.
-    std::vector<VertexId> selection;
+    std::vector<VertexId> ascending;
     for (VertexId v = 0; v < n; ++v) {
-      if (rng.NextBernoulli(0.5)) selection.push_back(v);
+      if (rng.NextBernoulli(0.5)) ascending.push_back(v);
     }
-    const SignedGraph::InducedResult induced =
-        graph.InducedSubgraph(selection);
-    // Count expected surviving edges.
-    std::vector<uint8_t> in(n, 0);
-    for (VertexId v : selection) in[v] = 1;
-    uint64_t expected = 0;
-    for (const auto& [key, sign] : reference) {
-      (void)sign;
-      expected += in[key.first] && in[key.second];
-    }
-    EXPECT_EQ(induced.graph.NumEdges(), expected) << "trial=" << trial;
+    std::vector<VertexId> shuffled = ascending;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    std::vector<VertexId> full(n);
+    std::iota(full.begin(), full.end(), 0u);
+    std::vector<VertexId> full_shuffled = full;
+    std::shuffle(full_shuffled.begin(), full_shuffled.end(), rng);
+    const std::string at = "trial=" + std::to_string(trial);
+    ExpectInducedMatchesModel(graph, reference, ascending, at + " ascending");
+    ExpectInducedMatchesModel(graph, reference, shuffled, at + " shuffled");
+    ExpectInducedMatchesModel(graph, reference, {}, at + " empty");
+    ExpectInducedMatchesModel(graph, reference, full, at + " full");
+    ExpectInducedMatchesModel(graph, reference, full_shuffled,
+                              at + " full shuffled");
   }
+}
+
+// A mapped (binary v2) graph reads its rows through the mapping; the
+// induced copy is owned and equal to the one from the heap graph.
+TEST(BuilderFuzzTest, InducedSubgraphOfMappedGraphMatchesModel) {
+  Rng rng(808);
+  const VertexId n = 60;
+  SignedGraphBuilder builder(n);
+  std::map<EdgeKey, Sign> reference;
+  for (int op = 0; op < 500; ++op) {
+    VertexId u = static_cast<VertexId>(rng.NextBounded(n));
+    VertexId v = static_cast<VertexId>(rng.NextBounded(n));
+    if (u == v) continue;
+    if (u > v) std::swap(u, v);
+    if (reference.count({u, v})) continue;
+    const Sign sign =
+        rng.NextBernoulli(0.4) ? Sign::kNegative : Sign::kPositive;
+    builder.AddEdge(u, v, sign);
+    reference.emplace(EdgeKey{u, v}, sign);
+  }
+  const SignedGraph graph = std::move(builder).Build();
+  const std::string path = ::testing::TempDir() + "/induced_mapped.mbcg";
+  ASSERT_TRUE(WriteSignedGraphBinary(graph, path).ok());
+  Result<SignedGraph> mapped = MmapSignedGraphBinary(path);
+  ASSERT_TRUE(mapped.ok());
+  ASSERT_TRUE(mapped.value().IsMapped());
+
+  std::vector<VertexId> ascending;
+  for (VertexId v = 0; v < n; ++v) {
+    if (rng.NextBernoulli(0.6)) ascending.push_back(v);
+  }
+  std::vector<VertexId> shuffled = ascending;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  for (const std::vector<VertexId>& selection : {ascending, shuffled}) {
+    ExpectInducedMatchesModel(mapped.value(), reference, selection, "mapped");
+    const SignedGraph::InducedResult from_mapped =
+        mapped.value().InducedSubgraph(selection);
+    EXPECT_FALSE(from_mapped.graph.IsMapped());
+    EXPECT_EQ(FingerprintSignedGraph(from_mapped.graph),
+              FingerprintSignedGraph(graph.InducedSubgraph(selection).graph));
+  }
+  std::remove(path.c_str());
+}
+
+// The two selection checks are MBC_CHECKs: they fire in every build type.
+TEST(BuilderFuzzDeathTest, InducedSubgraphRejectsDuplicateId) {
+  const SignedGraph graph = testing_util::RandomSignedGraph(8, 12, 0.5, 3);
+  const std::vector<VertexId> selection = {1, 4, 1};
+  EXPECT_DEATH(graph.InducedSubgraph(selection), "duplicate vertex");
+}
+
+TEST(BuilderFuzzDeathTest, InducedSubgraphRejectsOutOfRangeId) {
+  const SignedGraph graph = testing_util::RandomSignedGraph(8, 12, 0.5, 3);
+  const std::vector<VertexId> selection = {0, 8};
+  EXPECT_DEATH(graph.InducedSubgraph(selection), "Check failed.*8 vs 8");
 }
 
 // --- Adversarial binary blobs -------------------------------------------
