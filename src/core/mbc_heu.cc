@@ -15,6 +15,13 @@
 namespace mbc {
 namespace {
 
+/// Algorithm 3 Lines 5-7: pick from the right side when the left side is
+/// exhausted or already at least as large as the right side.
+bool PickRight(size_t left_avail, size_t right_avail, size_t left_size,
+               size_t right_size) {
+  return left_avail == 0 || (right_avail != 0 && left_size >= right_size);
+}
+
 /// Alternating-side greedy growth (Algorithm 3 Lines 5-7) from the current
 /// clique state. Consumes `*candidates`; members join `*members` and the
 /// side counters. Without `rng` the first max-degree candidate (ascending
@@ -32,10 +39,8 @@ void GrowAlternating(const DichromaticGraph& g, Bitset* candidates,
     const size_t total_avail = candidates->Count();
     const size_t right_avail = total_avail - left_avail;
 
-    // Algorithm 3 Lines 5-7: pick from the right side when the left side is
-    // exhausted or already at least as large as the right side.
     const bool pick_right =
-        left_avail == 0 || (right_avail != 0 && *left_size >= *right_size);
+        PickRight(left_avail, right_avail, *left_size, *right_size);
 
     uint32_t best = 0;
     uint32_t best_degree = 0;
@@ -182,15 +187,48 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
   Rng rng;
   std::vector<uint32_t> ties;
   BalancedClique best;
+  // Local-search moves range over the whole g_u; the greedy alone reads
+  // only the anchor, its first pick and the pick's neighbors in g_u, so
+  // without local search the network is built over those (`in_network`,
+  // an alive filter kept all-zero between anchors).
+  const bool full_network = options.local_search_iterations > 0;
+  std::vector<uint8_t> in_network(graph.NumVertices(), 0);
+  std::vector<VertexId> pick_neighbors;
 
   bool first_anchor = true;
   for (VertexId anchor : anchors) {
     // The first anchor's greedy runs ungoverned (see mbc_heu.h).
     ExecutionContext* grow_exec = first_anchor ? nullptr : exec;
     first_anchor = false;
-    builder.BuildInto(anchor, nullptr, nullptr, &net);
+
+    // The greedy's first step, the only one that looks at all of N(u),
+    // runs on the signed graph; it takes the one checkpoint tick that
+    // GrowAlternating's first iteration would.
+    VertexId pick = anchor;
+    pick_neighbors.clear();
+    const bool picked = graph.Degree(anchor) > 0 &&
+                        (grow_exec == nullptr || !grow_exec->Checkpoint());
+    if (picked) {
+      const bool right = PickRight(graph.PositiveDegree(anchor),
+                                   graph.NegativeDegree(anchor), 1, 0);
+      pick = builder.MaxDegreeMember(
+          anchor, right ? Side::kRight : Side::kLeft, &pick_neighbors);
+    }
+    // Local order within a side is id order with or without the filter,
+    // so every later pick and tie resolves as in the full g_u.
+    const auto mark = [&](uint8_t value) {
+      in_network[anchor] = value;
+      in_network[pick] = value;
+      for (VertexId v : pick_neighbors) in_network[v] = value;
+    };
+    mark(1);
+    builder.BuildInto(anchor, nullptr,
+                      full_network ? nullptr : in_network.data(), &net);
+    mark(0);
     const DichromaticGraph& g = net.graph;
     const uint32_t k = g.NumVertices();
+    result.stats.max_network_vertices =
+        std::max(result.stats.max_network_vertices, k);
     arena.BindNetwork(k);
     SearchArena::Frame& frame = arena.FrameAt(0);
     SearchArena::Frame& scratch = arena.FrameAt(1);
@@ -199,13 +237,22 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
     Bitset& anchor_best = frame.remaining;
     Bitset& backup = scratch.cand;      // revert state for rejected moves
 
-    // Greedy seed (Algorithm 3).
+    // Greedy seed (Algorithm 3), continued from {u, pick}.
     members.Reshape(k);
     members.Set(0);
     size_t left_size = 1;
     size_t right_size = 0;
-    candidates.CopyFrom(g.AdjacencyOf(0));
-    candidates.Reset(0);
+    if (picked) {
+      const uint32_t b = static_cast<uint32_t>(
+          std::find(net.to_original.begin() + 1, net.to_original.end(),
+                    pick) -
+          net.to_original.begin());
+      members.Set(b);
+      (g.IsLeft(b) ? left_size : right_size) += 1;
+      candidates.AssignAnd(g.AdjacencyOf(0), g.AdjacencyOf(b));
+    } else {
+      candidates.Reshape(k);
+    }
     GrowAlternating(g, &candidates, &members, &left_size, &right_size,
                     /*rng=*/nullptr, /*ties=*/nullptr, grow_exec);
     result.stats.greedy_size =

@@ -3,21 +3,28 @@
 // The heuristic tier: fast lower bounds for the maximum balanced clique.
 //
 // One solver, MbcHeuristicSearch, built on MBC-Heu (Algorithm 3): a
-// linear-time greedy that grows a balanced clique inside the dichromatic
-// network of an anchor vertex, alternating sides to keep |C_L| and |C_R|
-// balanced. The greedy runs at a small anchor pool (the paper's degree
-// anchor, the vertices maximizing d+, d-, total degree and polar-core
-// number, plus the densest tail of the degeneracy order), and a seeded
-// bitset local search (drop-and-regrow swap/add moves over the two sides of
-// each anchor's dichromatic network, arena-backed; grounded in Ordozgoiti
-// et al., arXiv:2002.00775) may then improve each anchor's clique.
+// greedy that grows a balanced clique inside the dichromatic network of an
+// anchor vertex, alternating sides to keep |C_L| and |C_R| balanced. The
+// greedy runs at a small anchor pool (the paper's degree anchor, the
+// vertices maximizing d+, d-, total degree and polar-core number, plus the
+// densest tail of the degeneracy order), and a seeded bitset local search
+// (drop-and-regrow swap/add moves over the two sides of each anchor's
+// dichromatic network, arena-backed; grounded in Ordozgoiti et al.,
+// arXiv:2002.00775) may then improve each anchor's clique.
+//
+// Cost per anchor u: the greedy's first pick b is made on the signed
+// graph, O(Σ_{x∈N(u)} deg(x)); every later pick lies among b's g_u
+// neighbors, so the dense network is built over u, b and those only, and
+// a hub anchor costs its edges rather than d(u)² bits. Local search moves
+// range over the whole g_u (1 + d(u) vertices, about k²/8 bytes), which
+// is then built in full.
 //
 // MbcHeuristic is the configuration that seeds the lower bound of MBC*
 // (Line 2 of Algorithm 2) and PF* (Line 1 of Algorithm 4): the five
 // degree/polar anchors, greedy only.
 //
 // The first anchor's greedy always runs to completion, whatever the
-// governor says: one O(m) pass is bounded work, so even a pre-expired
+// governor says: one greedy is bounded work, so even a pre-expired
 // budget yields a valid lower bound (the interrupt still reports through
 // the stats). The result is a valid balanced clique — a lower bound the
 // exact solvers warm-start from — never a certificate of optimality.
@@ -65,6 +72,10 @@ struct MbcHeuStats {
   uint64_t ls_iterations = 0;
   /// Rounds that improved the incumbent of their anchor.
   uint64_t ls_improvements = 0;
+  /// Vertices of the largest dichromatic network built. With local
+  /// search off it is at most 2 + the largest first-pick degree in g_u;
+  /// with local search on, 1 + the largest anchor degree.
+  uint32_t max_network_vertices = 0;
   /// True iff the run was interrupted before completing.
   bool timed_out = false;
   InterruptReason interrupt_reason = InterruptReason::kNone;
@@ -89,9 +100,10 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
 
 /// MBC-Heu as MBC* and PF* run it: MbcHeuristicSearch over the five
 /// degree/polar anchors with local search off. Returns the largest greedy
-/// clique satisfying τ, or an empty clique. O(m) per anchor. `exec` may be
-/// null (ungoverned); on interrupt the best clique found so far is
-/// returned.
+/// clique satisfying τ, or an empty clique. Per anchor u with first pick
+/// b: O(Σ_{x∈N(u)} deg(x)) plus a dense network over b's g_u neighbors.
+/// `exec` may be null (ungoverned); on interrupt the best clique found so
+/// far is returned.
 BalancedClique MbcHeuristic(const SignedGraph& graph, uint32_t tau,
                             ExecutionContext* exec = nullptr);
 

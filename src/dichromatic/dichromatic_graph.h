@@ -6,11 +6,9 @@
 // as dense bitset rows; the MDC/DCC branch-and-bound solvers pass candidate
 // sets down as bitsets and never copy the graph.
 //
-// Besides the plain adjacency row, every vertex keeps a side-split
-// adjacency bitmap: one row of its L-neighbors and one of its R-neighbors,
-// maintained by AddEdge/SetSide. The (τ_L, τ_R)-core peeling and the DCC
-// feasibility checks then read a side degree as a single intersect+popcount
-// over the matching row instead of a three-operand mask pass.
+// Each vertex stores one adjacency row, k bits; the sides are one more
+// k-bit mask. A side degree within a candidate set is one fused
+// three-operand popcount, AdjacencyOf(v).CountAndAnd(LeftMask(), within).
 #ifndef MBC_DICHROMATIC_DICHROMATIC_GRAPH_H_
 #define MBC_DICHROMATIC_DICHROMATIC_GRAPH_H_
 
@@ -41,7 +39,14 @@ class DichromaticGraph {
 
   uint32_t NumVertices() const { return num_vertices_; }
 
-  void SetSide(uint32_t v, Side side);
+  void SetSide(uint32_t v, Side side) {
+    MBC_DCHECK_LT(v, NumVertices());
+    if (side == Side::kLeft) {
+      left_mask_.Set(v);
+    } else {
+      left_mask_.Reset(v);
+    }
+  }
   Side GetSide(uint32_t v) const {
     return left_mask_.Test(v) ? Side::kLeft : Side::kRight;
   }
@@ -54,18 +59,12 @@ class DichromaticGraph {
     MBC_DCHECK(a != b);
     adjacency_[a].Set(b);
     adjacency_[b].Set(a);
-    (IsLeft(b) ? adj_left_ : adj_right_)[a].Set(b);
-    (IsLeft(a) ? adj_left_ : adj_right_)[b].Set(a);
   }
   bool HasEdge(uint32_t a, uint32_t b) const {
     return adjacency_[a].Test(b);
   }
 
   const Bitset& AdjacencyOf(uint32_t v) const { return adjacency_[v]; }
-  /// The L-neighbors of v (AdjacencyOf(v) ∩ LeftMask(), precomputed).
-  const Bitset& LeftAdjacencyOf(uint32_t v) const { return adj_left_[v]; }
-  /// The R-neighbors of v (AdjacencyOf(v) \ LeftMask(), precomputed).
-  const Bitset& RightAdjacencyOf(uint32_t v) const { return adj_right_[v]; }
   /// Bitset of L-vertices (capacity == NumVertices()).
   const Bitset& LeftMask() const { return left_mask_; }
 
@@ -85,12 +84,6 @@ class DichromaticGraph {
  private:
   // Rows [0, num_vertices_) are live; the tail is retained capacity.
   std::vector<Bitset> adjacency_;
-  // Side-split companions of adjacency_: adj_left_[v] holds v's neighbors
-  // that are L-vertices, adj_right_[v] those that are R-vertices. Their
-  // union is adjacency_[v]; SetSide keeps them consistent when a labelled
-  // vertex changes sides after edges exist.
-  std::vector<Bitset> adj_left_;
-  std::vector<Bitset> adj_right_;
   Bitset left_mask_;
   uint32_t num_vertices_ = 0;
 };

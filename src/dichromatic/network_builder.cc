@@ -57,6 +57,15 @@ DichromaticNetwork DichromaticNetworkBuilder::Build(VertexId u,
   return net;
 }
 
+void DichromaticNetworkBuilder::NextStamp() {
+  // The stamp shares its key with the side bit, so it has 31 bits; on
+  // wrap-around every key is cleared, so no stale key can match.
+  if (++current_stamp_ == kStampLimit) {
+    std::fill(keys_.begin(), keys_.end(), 0);
+    current_stamp_ = 1;
+  }
+}
+
 void DichromaticNetworkBuilder::BuildInto(VertexId u, const uint32_t* rank,
                                           const uint8_t* alive,
                                           DichromaticNetwork* out) {
@@ -69,12 +78,7 @@ void DichromaticNetworkBuilder::BuildInto(VertexId u, const uint32_t* rank,
   // silently build wrong networks. One compare per build.
   MBC_CHECK(rank == nullptr || out_->rank() == rank)
       << "BuildInto rank differs from the rank the out-lists were built from";
-  // The stamp shares its key with the side bit, so it has 31 bits; on
-  // wrap-around every key is cleared, so no stale key can match.
-  if (++current_stamp_ == kStampLimit) {
-    std::fill(keys_.begin(), keys_.end(), 0);
-    current_stamp_ = 1;
-  }
+  NextStamp();
 
   DichromaticNetwork& net = *out;
   net.to_original.clear();
@@ -146,6 +150,44 @@ void DichromaticNetworkBuilder::BuildInto(VertexId u, const uint32_t* rank,
       add_edges(i, IdSuffix(graph_.NegativeNeighbors(x), x), 1);
     }
   }
+}
+
+VertexId DichromaticNetworkBuilder::MaxDegreeMember(
+    VertexId u, Side side, std::vector<VertexId>* neighbors) {
+  const uint32_t left = side == Side::kLeft;
+  const std::span<const VertexId> members =
+      left ? graph_.PositiveNeighbors(u) : graph_.NegativeNeighbors(u);
+  MBC_CHECK(!members.empty());
+  NextStamp();
+  const uint32_t stamp = current_stamp_ << 1;
+  for (VertexId v : graph_.PositiveNeighbors(u)) keys_[v] = stamp | 1;
+  for (VertexId v : graph_.NegativeNeighbors(u)) keys_[v] = stamp;
+  // An edge of g_u is positive within a side or negative across the
+  // sides; u itself is never stamped, so it is never counted.
+  const uint32_t same = stamp | left;
+  const uint32_t other = stamp | (left ^ 1);
+  auto degree = [&](VertexId x) {
+    uint32_t d = 0;
+    for (VertexId y : graph_.PositiveNeighbors(x)) d += keys_[y] == same;
+    for (VertexId y : graph_.NegativeNeighbors(x)) d += keys_[y] == other;
+    return d;
+  };
+  VertexId best = members[0];
+  uint32_t best_degree = degree(best);
+  for (size_t i = 1; i < members.size(); ++i) {
+    const uint32_t d = degree(members[i]);
+    if (d > best_degree) {
+      best = members[i];
+      best_degree = d;
+    }
+  }
+  for (VertexId y : graph_.PositiveNeighbors(best)) {
+    if (keys_[y] == same) neighbors->push_back(y);
+  }
+  for (VertexId y : graph_.NegativeNeighbors(best)) {
+    if (keys_[y] == other) neighbors->push_back(y);
+  }
+  return best;
 }
 
 }  // namespace mbc

@@ -119,7 +119,22 @@ class DichromaticNetworkBuilder {
   void BuildInto(VertexId u, const uint32_t* rank, const uint8_t* alive,
                  DichromaticNetwork* net);
 
+  /// The vertex of `side` with the most neighbors in the rank-less,
+  /// unfiltered g_u among the other members (u excluded), lowest id on
+  /// ties, found without building g_u: N(u) is stamped with its sides and
+  /// each vertex of `side` counts its kept edges by scanning its signed
+  /// adjacency, O(d(u) + Σ deg(x) over that side). Within a side the local
+  /// ids of g_u ascend with the vertex ids, so this is the max-degree
+  /// candidate of a dense scan over g_u's local ids. Appends the winner's
+  /// g_u neighbors other than u to `*neighbors`. Precondition: that side
+  /// of N(u) is not empty.
+  VertexId MaxDegreeMember(VertexId u, Side side,
+                           std::vector<VertexId>* neighbors);
+
  private:
+  // Advances current_stamp_, clearing every key on wrap-around.
+  void NextStamp();
+
   const SignedGraph& graph_;
   // The out-lists ranked builds read: `owned_out_` (bound on the first
   // ranked call) or a borrowed shared copy.

@@ -98,12 +98,14 @@ void TwoSidedCoreWithinInPlace(const DichromaticGraph& graph,
     const int32_t need = graph.IsLeft(v) ? tau_r : tau_r - 1;
     return need > 0 ? static_cast<uint32_t>(need) : 0;
   };
-  // The split adjacency rows turn each side degree into one
-  // intersect+popcount, where the unsplit row needed a three-operand mask
-  // pass plus a subtraction.
+  // Side degrees within `alive`: the L-degree is one fused three-operand
+  // popcount over v's row and the side mask, the R-degree the rest of v's
+  // alive degree.
+  const Bitset& left_mask = graph.LeftMask();
   auto violates = [&](uint32_t v) {
-    return graph.LeftAdjacencyOf(v).CountAnd(alive) < need_l(v) ||
-           graph.RightAdjacencyOf(v).CountAnd(alive) < need_r(v);
+    const Bitset& row = graph.AdjacencyOf(v);
+    const size_t dl = row.CountAndAnd(left_mask, alive);
+    return dl < need_l(v) || row.CountAnd(alive) - dl < need_r(v);
   };
 
   std::vector<uint32_t>& pending = *pending_stack;
@@ -114,9 +116,11 @@ void TwoSidedCoreWithinInPlace(const DichromaticGraph& graph,
     std::vector<uint32_t>& deg = *degrees;
     alive.ForEach([&](size_t v) {
       const uint32_t u = static_cast<uint32_t>(v);
-      const size_t dl = graph.LeftAdjacencyOf(u).CountAnd(alive);
-      const size_t dr = graph.RightAdjacencyOf(u).CountAnd(alive);
-      deg[u] = static_cast<uint32_t>(dl + dr);
+      const Bitset& row = graph.AdjacencyOf(u);
+      const size_t degree = row.CountAnd(alive);
+      const size_t dl = row.CountAndAnd(left_mask, alive);
+      const size_t dr = degree - dl;
+      deg[u] = static_cast<uint32_t>(degree);
       if (dl < need_l(u) || dr < need_r(u)) pending.push_back(u);
     });
   } else {

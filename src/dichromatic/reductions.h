@@ -51,8 +51,8 @@ Bitset TwoSidedCoreWithin(const DichromaticGraph& graph,
 /// Allocation-free variant of TwoSidedCoreWithin (see KCoreWithinInPlace
 /// for the pending / alive_count / degrees contracts; here `degrees`
 /// receives *total* within-set degrees, maintained by decrement during
-/// the peel). Side degrees read the graph's split adjacency bitmap, one
-/// intersect+popcount per side.
+/// the peel). A vertex's L-degree is one fused popcount of its row, the
+/// side mask and `alive`; its R-degree is the rest of its alive degree.
 void TwoSidedCoreWithinInPlace(const DichromaticGraph& graph, Bitset* alive,
                                int32_t tau_l, int32_t tau_r,
                                std::vector<uint32_t>* pending,

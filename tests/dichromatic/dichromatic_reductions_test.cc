@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/common/random.h"
 
 namespace mbc {
@@ -110,6 +113,90 @@ TEST(TwoSidedCoreTest, PreservesQualifyingCliques) {
   for (uint32_t v = 0; v < 5; ++v) EXPECT_TRUE(core.Test(v)) << v;
   EXPECT_FALSE(core.Test(5));
   EXPECT_FALSE(core.Test(6));
+}
+
+/// The (τ_L, τ_R)-core by definition: repeatedly drop any vertex whose
+/// side degrees, counted edge by edge from a model, fall short.
+std::vector<bool> NaiveTwoSidedCore(
+    const std::vector<std::vector<bool>>& adjacent,
+    const std::vector<bool>& left, std::vector<bool> alive, int32_t tau_l,
+    int32_t tau_r) {
+  const size_t k = adjacent.size();
+  const auto need = [](int32_t t) { return t > 0 ? t : 0; };
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (size_t v = 0; v < k; ++v) {
+      if (!alive[v]) continue;
+      int32_t dl = 0;
+      int32_t dr = 0;
+      for (size_t w = 0; w < k; ++w) {
+        if (alive[w] && adjacent[v][w]) ++(left[w] ? dl : dr);
+      }
+      const int32_t need_l = need(left[v] ? tau_l - 1 : tau_l);
+      const int32_t need_r = need(left[v] ? tau_r : tau_r - 1);
+      if (dl < need_l || dr < need_r) {
+        alive[v] = false;
+        changed = true;
+      }
+    }
+  }
+  return alive;
+}
+
+// The peel reads each side degree from one row, the side mask and the
+// alive set; it must agree with the naive fixpoint, and the optional
+// degrees table must hold the survivors' total degrees within the core.
+TEST(TwoSidedCoreTest, InPlaceMatchesNaivePeel) {
+  Rng rng(2026);
+  std::vector<uint32_t> pending;
+  std::vector<uint32_t> degrees;
+  for (int trial = 0; trial < 60; ++trial) {
+    const uint32_t k = 2 + static_cast<uint32_t>(rng.NextBounded(150));
+    const double density = 0.1 + 0.8 * rng.NextDouble();
+    DichromaticGraph graph(k);
+    std::vector<bool> left(k);
+    std::vector<std::vector<bool>> adjacent(k, std::vector<bool>(k, false));
+    for (uint32_t v = 0; v < k; ++v) {
+      left[v] = rng.NextBernoulli(0.5);
+      graph.SetSide(v, left[v] ? Side::kLeft : Side::kRight);
+    }
+    for (uint32_t a = 0; a < k; ++a) {
+      for (uint32_t b = a + 1; b < k; ++b) {
+        if (!rng.NextBernoulli(density)) continue;
+        graph.AddEdge(a, b);
+        adjacent[a][b] = adjacent[b][a] = true;
+      }
+    }
+    Bitset candidates(k);
+    std::vector<bool> model_alive(k, false);
+    for (uint32_t v = 0; v < k; ++v) {
+      if (rng.NextBounded(5) == 0) continue;
+      candidates.Set(v);
+      model_alive[v] = true;
+    }
+    const int32_t tau_l = static_cast<int32_t>(rng.NextBounded(8)) - 1;
+    const int32_t tau_r = static_cast<int32_t>(rng.NextBounded(8)) - 1;
+    const std::vector<bool> expected =
+        NaiveTwoSidedCore(adjacent, left, model_alive, tau_l, tau_r);
+    for (bool with_degrees : {false, true}) {
+      Bitset alive = candidates;
+      size_t alive_count = alive.Count();
+      degrees.assign(k, 0);
+      TwoSidedCoreWithinInPlace(graph, &alive, tau_l, tau_r, &pending,
+                                &alive_count,
+                                with_degrees ? &degrees : nullptr);
+      const std::string where = "trial=" + std::to_string(trial) +
+                                " degrees=" + std::to_string(with_degrees);
+      ASSERT_EQ(alive_count, alive.Count()) << where;
+      for (uint32_t v = 0; v < k; ++v) {
+        ASSERT_EQ(alive.Test(v), expected[v]) << where << " v=" << v;
+        if (with_degrees && expected[v]) {
+          EXPECT_EQ(degrees[v], graph.DegreeWithin(v, alive))
+              << where << " v=" << v;
+        }
+      }
+    }
+  }
 }
 
 TEST(ColoringBoundWithinTest, CliqueNeedsItsSize) {
