@@ -3,8 +3,9 @@
 // Quality and cost of the heuristic tier (extension; the paper's MBC-Heu
 // is the seed inside MBC*, here promoted to a user-facing solver), plus
 // the warm-start effect of handing its incumbent to the exact engine.
-// Three synthetic families (the same ones bench_parallel_scaling uses)
-// are solved three ways per tau:
+// Three synthetic families (the same ones bench_parallel_scaling uses),
+// plus the hub-heavy BSCL graph of the heuristic's oracle test, are
+// solved three ways per tau:
 //   * exact:     MaxBalancedCliqueStar, cold (its own internal greedy
 //                seed stays on — this is the path the service runs);
 //   * heuristic: MbcHeuristicSearch (greedy anchor pool + local search);
@@ -13,7 +14,9 @@
 // The report is written to BENCH_heuristic.json (schema
 // mbc-heuristic-bench-v1) with, per family: the quality ratio
 // |C_heu| / |C*|, the heuristic's time as a fraction of the exact solve,
-// and the warm-start branch reduction 1 - warm_branches / cold_branches.
+// the warm-start branch reduction 1 - warm_branches / cold_branches, and
+// the largest dichromatic network the heuristic built with local search
+// (heu_max_network_vertices) and without (greedy_max_network_vertices).
 // Invariants asserted on every run, strict mode or not:
 //   * the heuristic clique is never larger than the optimum,
 //   * the warm run returns the same optimum size as the cold run, and
@@ -21,12 +24,16 @@
 // MBC_BENCH_STRICT=1 additionally enforces, on the planted_clique family
 // (ground-truth optimum), a 0.8 quality-ratio floor and a 5% ceiling on
 // the heuristic's time as a fraction of the exact solve, plus a strictly
-// positive aggregate warm-start branch reduction across the families.
+// positive aggregate warm-start branch reduction across the families, and
+// on hub_bscl a local-search network below 1/10 of 1 + the max degree
+// (local search grows each anchor's network on demand, never the hub's
+// whole g_u).
 //
 //   --short / MBC_BENCH_SHORT=1     single rep, no warm-up
 //   MBC_BENCH_HEURISTIC_JSON=path   output path (default
 //                                   BENCH_heuristic.json)
-//   MBC_BENCH_STRICT=1              enforce the planted quality floor
+//   MBC_BENCH_STRICT=1              enforce the gates above
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -39,6 +46,7 @@
 #include "src/core/mbc_heu.h"
 #include "src/core/mbc_star.h"
 #include "src/datasets/generators.h"
+#include "src/graph/signed_graph.h"
 
 namespace mbc {
 namespace {
@@ -103,6 +111,13 @@ std::vector<Family> MakeFamilies() {
         {"planted_clique",
          PlantBalancedCliques(base, {{13, 13}, {9, 10}}, 977)});
   }
+  {
+    BsclOptions options;
+    options.num_vertices = 6000;
+    options.num_edges = 36000;
+    options.seed = 3;
+    families.push_back({"hub_bscl", GenerateBsclSignedGraph(options)});
+  }
   return families;
 }
 
@@ -114,6 +129,8 @@ struct Row {
   size_t heu_size = 0;
   double heu_seconds = 0.0;
   uint64_t heu_ls_improvements = 0;
+  uint32_t heu_max_network_vertices = 0;
+  uint32_t greedy_max_network_vertices = 0;
   size_t warm_size = 0;
   double warm_seconds = 0.0;
   uint64_t warm_branches = 0;
@@ -154,6 +171,12 @@ Row RunFamily(const SignedGraph& graph, int warmups, int reps) {
                [&] { return MbcHeuristicSearch(graph, kTau); });
   row.heu_size = heu.clique.size();
   row.heu_ls_improvements = heu.stats.ls_improvements;
+  row.heu_max_network_vertices = heu.stats.max_network_vertices;
+  MbcHeuOptions greedy_options;
+  greedy_options.local_search_iterations = 0;
+  row.greedy_max_network_vertices =
+      MbcHeuristicSearch(graph, kTau, greedy_options)
+          .stats.max_network_vertices;
 
   MbcStarOptions warm_options;
   if (!heu.clique.empty() && heu.clique.SatisfiesThreshold(kTau)) {
@@ -204,6 +227,8 @@ int Main(int argc, char** argv) {
   double planted_time_fraction = 0.0;
   uint64_t total_cold_branches = 0;
   uint64_t total_warm_branches = 0;
+  uint32_t hub_network = 0;
+  uint32_t hub_max_degree = 0;
 
   std::string json = "{\n";
   json += "  \"schema\": \"mbc-heuristic-bench-v1\",\n";
@@ -219,10 +244,11 @@ int Main(int argc, char** argv) {
 
     std::printf(
         "%-16s |C*|=%zu (%.3fs, %llu br)  heu=%zu (%.4fs, q=%.3f, "
-        "%.1f%% of exact)  warm br=%llu (-%.1f%%)\n",
+        "%.1f%% of exact, net %u/%u)  warm br=%llu (-%.1f%%)\n",
         family.name.c_str(), row.exact_size, row.exact_seconds,
         static_cast<unsigned long long>(row.exact_branches), row.heu_size,
         row.heu_seconds, row.quality_ratio, 100.0 * row.time_fraction,
+        row.heu_max_network_vertices, row.greedy_max_network_vertices,
         static_cast<unsigned long long>(row.warm_branches),
         100.0 * row.branch_reduction);
 
@@ -253,6 +279,12 @@ int Main(int argc, char** argv) {
       planted_quality = row.quality_ratio;
       planted_time_fraction = row.time_fraction;
     }
+    if (family.name == "hub_bscl") {
+      hub_network = row.heu_max_network_vertices;
+      for (VertexId v = 0; v < family.graph.NumVertices(); ++v) {
+        hub_max_degree = std::max(hub_max_degree, family.graph.Degree(v));
+      }
+    }
     total_cold_branches += row.exact_branches;
     total_warm_branches += row.warm_branches;
 
@@ -269,6 +301,8 @@ int Main(int argc, char** argv) {
         "      \"heu_size\": %zu,\n"
         "      \"heu_seconds\": %.6f,\n"
         "      \"heu_ls_improvements\": %llu,\n"
+        "      \"heu_max_network_vertices\": %u,\n"
+        "      \"greedy_max_network_vertices\": %u,\n"
         "      \"quality_ratio\": %.4f,\n"
         "      \"time_fraction\": %.4f,\n"
         "      \"warm_branches\": %llu,\n"
@@ -282,6 +316,7 @@ int Main(int argc, char** argv) {
         static_cast<unsigned long long>(row.exact_witness), row.heu_size,
         row.heu_seconds,
         static_cast<unsigned long long>(row.heu_ls_improvements),
+        row.heu_max_network_vertices, row.greedy_max_network_vertices,
         row.quality_ratio, row.time_fraction,
         static_cast<unsigned long long>(row.warm_branches), row.warm_seconds,
         row.branch_reduction, f + 1 < families.size() ? "," : "");
@@ -317,6 +352,13 @@ int Main(int argc, char** argv) {
                  "FAIL (strict): heuristic took %.1f%% of the exact solve "
                  "on planted_clique, above the 5%% ceiling\n",
                  100.0 * planted_time_fraction);
+    return 1;
+  }
+  if (strict && uint64_t{hub_network} * 10 >= uint64_t{hub_max_degree} + 1) {
+    std::fprintf(stderr,
+                 "FAIL (strict): hub_bscl local-search network of %u "
+                 "vertices is not below 1/10 of 1 + its max degree %u\n",
+                 hub_network, hub_max_degree);
     return 1;
   }
   if (strict && total_warm_branches >= total_cold_branches) {

@@ -154,6 +154,10 @@ class ExecutionContext {
   /// outer loops (once per dichromatic network, per binary-search step).
   bool Probe();
 
+  /// Checkpoint() calls that ticked (all but those made once interrupted),
+  /// so tests can pin two solvers' checkpoint sequences to each other.
+  uint64_t ticks() const { return ticks_.load(std::memory_order_relaxed); }
+
   /// Whether an interrupt has been recorded (no side effects).
   bool Interrupted() const {
     return reason_.load(std::memory_order_acquire) != InterruptReason::kNone;

@@ -187,13 +187,16 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
   Rng rng;
   std::vector<uint32_t> ties;
   BalancedClique best;
-  // Local-search moves range over the whole g_u; the greedy alone reads
-  // only the anchor, its first pick and the pick's neighbors in g_u, so
-  // without local search the network is built over those (`in_network`,
-  // an alive filter kept all-zero between anchors).
-  const bool full_network = options.local_search_iterations > 0;
+  // Each anchor's network is the induced subgraph of g_u over the vertices
+  // marked in `in_network`, an alive filter kept all-zero between anchors.
+  // kCovered marks a member whose g_u-neighborhood is in the network.
+  constexpr uint8_t kInNetwork = 1;
+  constexpr uint8_t kCovered = 2;
   std::vector<uint8_t> in_network(graph.NumVertices(), 0);
-  std::vector<VertexId> pick_neighbors;
+  std::vector<VertexId> grown;
+  std::vector<VertexId> previous;
+  std::vector<uint32_t> remap;
+  std::vector<uint32_t> saved;
 
   bool first_anchor = true;
   for (VertexId anchor : anchors) {
@@ -203,30 +206,29 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
 
     // The greedy's first step, the only one that looks at all of N(u),
     // runs on the signed graph; it takes the one checkpoint tick that
-    // GrowAlternating's first iteration would.
+    // GrowAlternating's first iteration would. Every later pick lies in
+    // the pick's g_u-neighborhood, so the network is built over u, the
+    // pick and those neighbors.
     VertexId pick = anchor;
-    pick_neighbors.clear();
+    grown.clear();
     const bool picked = graph.Degree(anchor) > 0 &&
                         (grow_exec == nullptr || !grow_exec->Checkpoint());
     if (picked) {
       const bool right = PickRight(graph.PositiveDegree(anchor),
                                    graph.NegativeDegree(anchor), 1, 0);
       pick = builder.MaxDegreeMember(
-          anchor, right ? Side::kRight : Side::kLeft, &pick_neighbors);
+          anchor, right ? Side::kRight : Side::kLeft, &grown);
     }
+    in_network[anchor] = kInNetwork;
+    in_network[pick] = picked ? kInNetwork | kCovered : kInNetwork;
+    for (VertexId v : grown) in_network[v] = kInNetwork;
     // Local order within a side is id order with or without the filter,
     // so every later pick and tie resolves as in the full g_u.
-    const auto mark = [&](uint8_t value) {
-      in_network[anchor] = value;
-      in_network[pick] = value;
-      for (VertexId v : pick_neighbors) in_network[v] = value;
-    };
-    mark(1);
-    builder.BuildInto(anchor, nullptr,
-                      full_network ? nullptr : in_network.data(), &net);
-    mark(0);
+    builder.BuildInto(anchor, nullptr, in_network.data(), &net);
     const DichromaticGraph& g = net.graph;
-    const uint32_t k = g.NumVertices();
+    const uint32_t full_k = 1 + graph.Degree(anchor);
+    uint32_t k = g.NumVertices();
+    bool full = k == full_k;
     result.stats.max_network_vertices =
         std::max(result.stats.max_network_vertices, k);
     arena.BindNetwork(k);
@@ -267,6 +269,46 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
       anchor_best.Reshape(k);
     }
 
+    // Grows the network by y, which becomes covered, and the vertices in
+    // `grown` (y's g_u-neighbors), or builds the whole g_u once the
+    // network would pass half of it. The bitsets that outlive a move and
+    // the dropped vertex move to the new local ids: the old network is an
+    // induced subgraph of the new one in the same local order, so its ids
+    // map by one merge walk.
+    const auto extend = [&](VertexId y, uint32_t* drop) {
+      size_t size = net.to_original.size();
+      for (VertexId v : grown) {
+        if (in_network[v] == 0) {
+          in_network[v] = kInNetwork;
+          ++size;
+        }
+      }
+      if (in_network[y] == 0) ++size;
+      in_network[y] = kInNetwork | kCovered;
+      previous.assign(net.to_original.begin(), net.to_original.end());
+      full = 2 * size > full_k;
+      builder.BuildInto(anchor, nullptr, full ? nullptr : in_network.data(),
+                        &net);
+      k = g.NumVertices();
+      result.stats.max_network_vertices =
+          std::max(result.stats.max_network_vertices, k);
+      arena.BindNetwork(k);
+      remap.resize(previous.size());
+      uint32_t next = 0;
+      for (size_t i = 0; i < previous.size(); ++i) {
+        while (net.to_original[next] != previous[i]) ++next;
+        remap[i] = next;
+      }
+      for (Bitset* bits : {&members, &backup, &anchor_best}) {
+        saved.clear();
+        bits->ForEach(
+            [&](size_t v) { saved.push_back(static_cast<uint32_t>(v)); });
+        bits->Reshape(k);
+        for (uint32_t v : saved) bits->Set(remap[v]);
+      }
+      *drop = remap[*drop];
+    };
+
     // ---- Local search: seeded drop-and-regrow. Each round removes one
     // random member, regrows with randomized degree tie-breaks (the
     // removed vertex tabu for the round), then closes with the
@@ -275,6 +317,13 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
     // state never shrinks (worse moves revert), so the per-anchor best is
     // monotone in the iteration count and a shorter run is a prefix of a
     // longer one under the same seed.
+    //
+    // A round only reads the common g_u-neighborhood of the members it
+    // keeps, which lies inside N_gu(y) for any kept member y other than
+    // u. So the round runs in the current network when a kept member is
+    // covered, grows the network by the thinnest kept member otherwise,
+    // and, when u is the only member kept, makes the regrowth's first
+    // pick (over all of N(u)) on the signed graph and grows by it.
     rng.Reseed(options.seed ^
                (0x9e3779b97f4a7c15ull * (static_cast<uint64_t>(anchor) + 1)));
     bool interrupted = false;
@@ -284,7 +333,8 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
         break;
       }
       const size_t size_before = left_size + right_size;
-      if (size_before == 0 || size_before >= k) break;  // nothing to swap
+      // Nothing to swap; the bound is the whole g_u, not the network.
+      if (size_before == 0 || size_before >= full_k) break;
       ++result.stats.ls_iterations;
       backup.CopyFrom(members);
       const size_t backup_left = left_size;
@@ -300,15 +350,63 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
       members.Reset(drop);
       (g.IsLeft(drop) ? left_size : right_size) -= 1;
 
-      // Regrow (drop is tabu) with randomized tie-breaks.
-      candidates.ReshapeUninit(k);
-      candidates.SetAll();
-      members.ForEach(
-          [&](size_t m) { candidates &= g.AdjacencyOf(m); });
-      candidates.AndNot(members);
-      candidates.Reset(drop);
-      GrowAlternating(g, &candidates, &members, &left_size, &right_size, &rng,
-                      &ties, exec);
+      bool covered = full;
+      uint32_t thinnest = 0;
+      if (!covered) {
+        members.ForEach([&](size_t m) {
+          if (m == 0) return;
+          const VertexId v = net.to_original[m];
+          if ((in_network[v] & kCovered) != 0) {
+            covered = true;
+          } else if (thinnest == 0 ||
+                     graph.Degree(v) <
+                         graph.Degree(net.to_original[thinnest])) {
+            thinnest = static_cast<uint32_t>(m);
+          }
+        });
+      }
+      if (!covered && thinnest != 0) {
+        const VertexId y = net.to_original[thinnest];
+        grown.clear();
+        builder.AppendNetworkNeighbors(anchor, y, &grown);
+        extend(y, &drop);
+        covered = true;
+      } else if (!covered && !exec->Checkpoint()) {
+        // C = {u, drop}: the regrowth's first pick ranges over all of N(u),
+        // so it is made on the signed graph, with the dense loop's first
+        // tick; the network then grows by the pick, which covers the rest.
+        MBC_DCHECK(members.Count() == 1 && members.Test(0));
+        const bool drop_left = g.IsLeft(drop);
+        const bool right =
+            PickRight(graph.PositiveDegree(anchor) - (drop_left ? 1 : 0),
+                      graph.NegativeDegree(anchor) - (drop_left ? 0 : 1),
+                      left_size, right_size);
+        grown.clear();
+        const VertexId p = builder.MaxDegreeMember(
+            anchor, right ? Side::kRight : Side::kLeft,
+            net.to_original[drop], &rng, &ties, &grown);
+        extend(p, &drop);
+        const uint32_t local = static_cast<uint32_t>(
+            std::find(net.to_original.begin() + 1, net.to_original.end(),
+                      p) -
+            net.to_original.begin());
+        members.Set(local);
+        (g.IsLeft(local) ? left_size : right_size) += 1;
+        covered = true;
+      }
+
+      // Regrow (drop is tabu) with randomized tie-breaks; skipped only when
+      // the first pick's tick found the run interrupted.
+      if (covered) {
+        candidates.ReshapeUninit(k);
+        candidates.SetAll();
+        members.ForEach(
+            [&](size_t m) { candidates &= g.AdjacencyOf(m); });
+        candidates.AndNot(members);
+        candidates.Reset(drop);
+        GrowAlternating(g, &candidates, &members, &left_size, &right_size,
+                        &rng, &ties, exec);
+      }
 
       // Closing add pass: the tabu lifts, so `drop` (or anything the new
       // filling made compatible) can re-join deterministically.
@@ -340,6 +438,7 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
     if (anchor_best_size > best.size()) {
       best = MaterializeLocal(net, anchor_best);
     }
+    for (VertexId v : net.to_original) in_network[v] = 0;
     if (interrupted || exec->Probe()) break;
   }
 

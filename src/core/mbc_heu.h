@@ -15,9 +15,14 @@
 // Cost per anchor u: the greedy's first pick b is made on the signed
 // graph, O(Σ_{x∈N(u)} deg(x)); every later pick lies among b's g_u
 // neighbors, so the dense network is built over u, b and those only, and
-// a hub anchor costs its edges rather than d(u)² bits. Local search moves
-// range over the whole g_u (1 + d(u) vertices, about k²/8 bytes), which
-// is then built in full.
+// a hub anchor costs its edges rather than d(u)² bits. A local-search
+// move reads only the common g_u-neighborhood of the members it keeps,
+// which lies inside N_gu(y) for any kept member y ≠ u; the network grows
+// by such a neighborhood only when no kept member's is in it yet, and the
+// one move that keeps u alone (dropping b from {u, b}) repicks on the
+// signed graph like the first pick. Once the network would pass half of
+// g_u, the whole g_u is built instead (1 + d(u) vertices, about k²/8
+// bytes), so a hub's g_u is built only if its moves need half of it.
 //
 // MbcHeuristic is the configuration that seeds the lower bound of MBC*
 // (Line 2 of Algorithm 2) and PF* (Line 1 of Algorithm 4): the five
@@ -74,7 +79,8 @@ struct MbcHeuStats {
   uint64_t ls_improvements = 0;
   /// Vertices of the largest dichromatic network built. With local
   /// search off it is at most 2 + the largest first-pick degree in g_u;
-  /// with local search on, 1 + the largest anchor degree.
+  /// with local search on it is at least that and at most 1 + the
+  /// largest anchor degree, the size of the networks its moves grew.
   uint32_t max_network_vertices = 0;
   /// True iff the run was interrupted before completing.
   bool timed_out = false;

@@ -152,18 +152,36 @@ void DichromaticNetworkBuilder::BuildInto(VertexId u, const uint32_t* rank,
   }
 }
 
-VertexId DichromaticNetworkBuilder::MaxDegreeMember(
-    VertexId u, Side side, std::vector<VertexId>* neighbors) {
-  const uint32_t left = side == Side::kLeft;
-  const std::span<const VertexId> members =
-      left ? graph_.PositiveNeighbors(u) : graph_.NegativeNeighbors(u);
-  MBC_CHECK(!members.empty());
+uint32_t DichromaticNetworkBuilder::StampSides(VertexId u) {
   NextStamp();
   const uint32_t stamp = current_stamp_ << 1;
   for (VertexId v : graph_.PositiveNeighbors(u)) keys_[v] = stamp | 1;
   for (VertexId v : graph_.NegativeNeighbors(u)) keys_[v] = stamp;
+  return stamp;
+}
+
+void DichromaticNetworkBuilder::AppendKept(
+    VertexId x, uint32_t same, uint32_t other,
+    std::vector<VertexId>* neighbors) const {
+  for (VertexId y : graph_.PositiveNeighbors(x)) {
+    if (keys_[y] == same) neighbors->push_back(y);
+  }
+  for (VertexId y : graph_.NegativeNeighbors(x)) {
+    if (keys_[y] == other) neighbors->push_back(y);
+  }
+}
+
+VertexId DichromaticNetworkBuilder::MaxDegreeMember(
+    VertexId u, Side side, VertexId tabu, Rng* rng,
+    std::vector<VertexId>* ties, std::vector<VertexId>* neighbors) {
+  const uint32_t left = side == Side::kLeft;
+  const std::span<const VertexId> members =
+      left ? graph_.PositiveNeighbors(u) : graph_.NegativeNeighbors(u);
+  const uint32_t stamp = StampSides(u);
   // An edge of g_u is positive within a side or negative across the
-  // sides; u itself is never stamped, so it is never counted.
+  // sides; u itself is never stamped, so it is never counted, and neither
+  // is the tabu vertex once its key is cleared.
+  keys_[tabu] = 0;
   const uint32_t same = stamp | left;
   const uint32_t other = stamp | (left ^ 1);
   auto degree = [&](VertexId x) {
@@ -172,22 +190,37 @@ VertexId DichromaticNetworkBuilder::MaxDegreeMember(
     for (VertexId y : graph_.NegativeNeighbors(x)) d += keys_[y] == other;
     return d;
   };
-  VertexId best = members[0];
-  uint32_t best_degree = degree(best);
-  for (size_t i = 1; i < members.size(); ++i) {
-    const uint32_t d = degree(members[i]);
-    if (d > best_degree) {
-      best = members[i];
+  VertexId best = kInvalidVertex;
+  uint32_t best_degree = 0;
+  if (rng != nullptr) ties->clear();
+  for (VertexId x : members) {
+    if (x == tabu) continue;
+    const uint32_t d = degree(x);
+    if (best == kInvalidVertex || d > best_degree) {
+      best = x;
       best_degree = d;
+      if (rng != nullptr) {
+        ties->clear();
+        ties->push_back(x);
+      }
+    } else if (rng != nullptr && d == best_degree) {
+      ties->push_back(x);
     }
   }
-  for (VertexId y : graph_.PositiveNeighbors(best)) {
-    if (keys_[y] == same) neighbors->push_back(y);
+  MBC_CHECK(best != kInvalidVertex);
+  if (rng != nullptr && ties->size() > 1) {
+    best = (*ties)[rng->NextBounded(ties->size())];
   }
-  for (VertexId y : graph_.NegativeNeighbors(best)) {
-    if (keys_[y] == other) neighbors->push_back(y);
-  }
+  AppendKept(best, same, other, neighbors);
   return best;
+}
+
+void DichromaticNetworkBuilder::AppendNetworkNeighbors(
+    VertexId u, VertexId y, std::vector<VertexId>* neighbors) {
+  const uint32_t stamp = StampSides(u);
+  const uint32_t left = (keys_[y] & 1) != 0;
+  MBC_DCHECK(keys_[y] >> 1 == current_stamp_);
+  AppendKept(y, stamp | left, stamp | (left ^ 1), neighbors);
 }
 
 }  // namespace mbc

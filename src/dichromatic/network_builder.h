@@ -17,6 +17,7 @@
 #include <span>
 #include <vector>
 
+#include "src/common/random.h"
 #include "src/common/types.h"
 #include "src/dichromatic/dichromatic_graph.h"
 #include "src/graph/signed_graph.h"
@@ -129,11 +130,37 @@ class DichromaticNetworkBuilder {
   /// g_u neighbors other than u to `*neighbors`. Precondition: that side
   /// of N(u) is not empty.
   VertexId MaxDegreeMember(VertexId u, Side side,
+                           std::vector<VertexId>* neighbors) {
+    return MaxDegreeMember(u, side, u, nullptr, nullptr, neighbors);
+  }
+
+  /// The seeded-tie variant: the pick of a randomized dense scan over g_u
+  /// without one tabu member. `tabu` (a member of N(u), or u for none) is
+  /// neither a candidate nor counted in any degree, nor appended to
+  /// `*neighbors`. With `rng` non-null the max-degree candidates are
+  /// collected in ascending id order into `*ties`, and one is drawn with
+  /// rng->NextBounded only when there are several; with it null the
+  /// lowest id wins.
+  /// Precondition: that side of N(u) holds a vertex other than `tabu`.
+  VertexId MaxDegreeMember(VertexId u, Side side, VertexId tabu, Rng* rng,
+                           std::vector<VertexId>* ties,
                            std::vector<VertexId>* neighbors);
+
+  /// Appends y's neighbors in the rank-less, unfiltered g_u other than u,
+  /// for a member y of N(u), without building g_u: O(d(u) + deg(y)).
+  void AppendNetworkNeighbors(VertexId u, VertexId y,
+                              std::vector<VertexId>* neighbors);
 
  private:
   // Advances current_stamp_, clearing every key on wrap-around.
   void NextStamp();
+  // Stamps N(u) under a fresh stamp with its g_u sides and returns the
+  // stamp (shifted past the side bit).
+  uint32_t StampSides(VertexId u);
+  // Appends the neighbors of x whose key is `same` over a positive edge
+  // or `other` over a negative one.
+  void AppendKept(VertexId x, uint32_t same, uint32_t other,
+                  std::vector<VertexId>* neighbors) const;
 
   const SignedGraph& graph_;
   // The out-lists ranked builds read: `owned_out_` (bound on the first

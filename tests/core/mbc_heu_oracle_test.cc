@@ -2,10 +2,13 @@
 //
 // MbcHeuristicSearch makes the greedy's first pick on the signed graph and
 // builds each anchor's dichromatic network over that pick's g_u neighbors
-// only (the full g_u when local search runs). This test keeps the plain
-// version as an oracle: every anchor's full g_u, the whole greedy in it,
-// then the same local search. The two must agree field by field, in the
-// checkpoint sequence too (armed fault injection, pre-expired contexts).
+// only; local search grows that network on demand. This test keeps the
+// plain version as an oracle: every anchor's full g_u, the whole greedy in
+// it, then the same local search. The two must agree field by field, in
+// the checkpoint sequence too (armed fault injection, pre-expired
+// contexts). The one field that differs by design is the network size
+// with local search on, which is checked against its bounds: no less than
+// the greedy's network, no more than the largest g_u.
 #include "src/core/mbc_heu.h"
 
 #include <gtest/gtest.h>
@@ -20,6 +23,7 @@
 #include "src/core/verify.h"
 #include "src/datasets/generators.h"
 #include "src/dichromatic/network_builder.h"
+#include "src/graph/signed_graph_builder.h"
 #include "src/graph/cores.h"
 #include "src/pf/pdecompose.h"
 #include "tests/test_util.h"
@@ -132,6 +136,7 @@ std::vector<VertexId> OracleAnchors(const SignedGraph& graph,
 
 struct OracleRun {
   MbcHeuResult result;
+  bool local_search = false;
   /// Per built anchor: 1 + d(u), and 2 + the first pick's g_u degree
   /// among N(u) (1 if no pick was made).
   std::vector<uint32_t> full_k;
@@ -141,17 +146,18 @@ struct OracleRun {
 OracleRun Oracle(const SignedGraph& graph, uint32_t tau,
                  const MbcHeuOptions& options) {
   OracleRun run;
+  run.local_search = options.local_search_iterations > 0;
   MbcHeuResult& result = run.result;
   ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
+  // max_network_vertices is the greedy's; with local search on it is the
+  // lower bound of the solver's (see ExpectSameResult).
   const auto finish = [&]() -> OracleRun& {
     result.stats.interrupt_reason = exec->reason();
     result.stats.timed_out = exec->Interrupted();
-    const bool greedy_only = options.local_search_iterations == 0;
-    for (size_t i = 0; i < run.full_k.size(); ++i) {
+    for (uint32_t pick_k : run.pick_k) {
       result.stats.max_network_vertices =
-          std::max(result.stats.max_network_vertices,
-                   greedy_only ? run.pick_k[i] : run.full_k[i]);
+          std::max(result.stats.max_network_vertices, pick_k);
     }
     return run;
   };
@@ -263,8 +269,11 @@ OracleRun Oracle(const SignedGraph& graph, uint32_t tau,
 
 // ---- Comparison helpers. ----
 
-void ExpectSameResult(const MbcHeuResult& got, const MbcHeuResult& want,
+/// Every field equal, except that with local search on the network size
+/// lies between the greedy's and 1 + the largest anchor degree.
+void ExpectSameResult(const MbcHeuResult& got, const OracleRun& oracle,
                       const std::string& where) {
+  const MbcHeuResult& want = oracle.result;
   EXPECT_EQ(got.clique.left, want.clique.left) << where;
   EXPECT_EQ(got.clique.right, want.clique.right) << where;
   ASSERT_EQ(got.anchor_cliques.size(), want.anchor_cliques.size()) << where;
@@ -277,12 +286,42 @@ void ExpectSameResult(const MbcHeuResult& got, const MbcHeuResult& want,
   EXPECT_EQ(got.stats.greedy_size, want.stats.greedy_size) << where;
   EXPECT_EQ(got.stats.ls_iterations, want.stats.ls_iterations) << where;
   EXPECT_EQ(got.stats.ls_improvements, want.stats.ls_improvements) << where;
-  EXPECT_EQ(got.stats.max_network_vertices,
-            want.stats.max_network_vertices)
-      << where;
+  if (oracle.local_search) {
+    const uint32_t largest_g_u =
+        oracle.full_k.empty()
+            ? 0
+            : *std::max_element(oracle.full_k.begin(), oracle.full_k.end());
+    EXPECT_GE(got.stats.max_network_vertices,
+              want.stats.max_network_vertices)
+        << where;
+    EXPECT_LE(got.stats.max_network_vertices, largest_g_u) << where;
+  } else {
+    EXPECT_EQ(got.stats.max_network_vertices,
+              want.stats.max_network_vertices)
+        << where;
+  }
   EXPECT_EQ(got.stats.timed_out, want.stats.timed_out) << where;
   EXPECT_EQ(got.stats.interrupt_reason, want.stats.interrupt_reason)
       << where;
+}
+
+/// Runs both versions under fresh, unarmed contexts: every field must
+/// agree, and so must the number of checkpoint ticks each took.
+void ExpectMatches(const SignedGraph& graph, uint32_t tau,
+                   MbcHeuOptions options, const std::string& where) {
+  ExecutionContext mine;
+  ExecutionContext theirs;
+  for (ExecutionContext* exec : {&mine, &theirs}) {
+    exec->DisarmFaultInjection();
+  }
+  options.exec = &mine;
+  const MbcHeuResult got = MbcHeuristicSearch(graph, tau, options);
+  options.exec = &theirs;
+  ExpectSameResult(got, Oracle(graph, tau, options), where);
+  EXPECT_EQ(mine.ticks(), theirs.ticks()) << where;
+  if (!got.clique.empty()) {
+    EXPECT_TRUE(IsBalancedClique(graph, got.clique)) << where;
+  }
 }
 
 /// τ = 0..3, local search off and on, with and without the degeneracy
@@ -299,11 +338,7 @@ void ExpectMatchesOracle(const SignedGraph& graph, const std::string& name) {
             name + " tau=" + std::to_string(tau) +
             " ls=" + std::to_string(iterations) +
             " degeneracy=" + std::to_string(degeneracy);
-        const MbcHeuResult got = MbcHeuristicSearch(graph, tau, options);
-        ExpectSameResult(got, Oracle(graph, tau, options).result, where);
-        if (!got.clique.empty()) {
-          EXPECT_TRUE(IsBalancedClique(graph, got.clique)) << where;
-        }
+        ExpectMatches(graph, tau, options, where);
       }
     }
   }
@@ -315,6 +350,30 @@ SignedGraph HubBscl() {
   options.num_edges = 36000;
   options.seed = 3;
   return GenerateBsclSignedGraph(options);
+}
+
+/// A hub, vertex 0, adjacent to about 2/3 of 8-67 vertices, plus n/2
+/// random edges among the others. Most of the hub's first picks then have
+/// no g_u neighbor, so its greedy clique is {0, b}, and local search's
+/// drop of b repicks over the hub's whole side, among many tied vertices.
+SignedGraph HubWithSparseEdges(uint64_t seed) {
+  Rng rng(seed);
+  const VertexId n = 8 + static_cast<VertexId>(rng.NextBounded(60));
+  SignedGraphBuilder builder(n);
+  builder.set_sign_conflict_policy(
+      SignedGraphBuilder::SignConflictPolicy::kDropEdge);
+  const auto sign = [&] {
+    return rng.NextBounded(2) == 0 ? Sign::kPositive : Sign::kNegative;
+  };
+  for (VertexId v = 1; v < n; ++v) {
+    if (rng.NextBounded(3) != 0) builder.AddEdge(0, v, sign());
+  }
+  for (VertexId e = 0; e < n / 2; ++e) {
+    const auto a = static_cast<VertexId>(1 + rng.NextBounded(n - 1));
+    const auto b = static_cast<VertexId>(1 + rng.NextBounded(n - 1));
+    if (a != b) builder.AddEdge(a, b, sign());
+  }
+  return std::move(builder).Build();
 }
 
 VertexId MaxDegreeVertex(const SignedGraph& graph) {
@@ -350,7 +409,8 @@ TEST(MbcHeuSparsePickTest, MatchesFullNetworkGreedyOnHubBscl) {
 
 // The network sizes the greedy and local search pay for, on the hub
 // graph: the anchor's first pick and its g_u neighbors without local
-// search, the whole g_u with it.
+// search; with it, the covered members' g_u neighbors, still a small
+// share of the hub's g_u.
 TEST(MbcHeuSparsePickTest, NetworkSizeOnHubGraph) {
   const SignedGraph graph = HubBscl();
   const VertexId hub = MaxDegreeVertex(graph);
@@ -359,7 +419,7 @@ TEST(MbcHeuSparsePickTest, NetworkSizeOnHubGraph) {
   options.local_search_iterations = 0;
   const OracleRun greedy = Oracle(graph, 1, options);
   const MbcHeuResult greedy_got = MbcHeuristicSearch(graph, 1, options);
-  ExpectSameResult(greedy_got, greedy.result, "greedy");
+  ExpectSameResult(greedy_got, greedy, "greedy");
   const uint32_t largest_pick =
       *std::max_element(greedy.pick_k.begin(), greedy.pick_k.end());
   EXPECT_LE(greedy_got.stats.max_network_vertices, largest_pick);
@@ -369,9 +429,35 @@ TEST(MbcHeuSparsePickTest, NetworkSizeOnHubGraph) {
   options.local_search_iterations = 8;
   const OracleRun local = Oracle(graph, 1, options);
   const MbcHeuResult local_got = MbcHeuristicSearch(graph, 1, options);
-  ExpectSameResult(local_got, local.result, "local search");
-  // The pool holds the max-degree vertex, so the largest g_u is the hub's.
-  EXPECT_EQ(local_got.stats.max_network_vertices, 1 + graph.Degree(hub));
+  ExpectSameResult(local_got, local, "local search");
+  EXPECT_LT(local_got.stats.max_network_vertices * 10,
+            1 + graph.Degree(hub));
+}
+
+// Local search from two-vertex greedy cliques: dropping b from {u, b}
+// makes the regrowth's first pick over all of N(u) with seeded ties.
+TEST(MbcHeuSparsePickTest, MatchesFullNetworkSearchOnHubWithSparseEdges) {
+  size_t hub_pairs = 0;
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    const SignedGraph graph = HubWithSparseEdges(seed);
+    for (uint32_t tau = 0; tau <= 2; ++tau) {
+      for (uint32_t iterations : {24u, 300u}) {
+        MbcHeuOptions options;
+        options.seed = seed + tau;
+        options.local_search_iterations = iterations;
+        const std::string where =
+            "hub seed=" + std::to_string(seed) + " tau=" +
+            std::to_string(tau) + " ls=" + std::to_string(iterations);
+        ExpectMatches(graph, tau, options, where);
+        const MbcHeuResult got = MbcHeuristicSearch(graph, tau, options);
+        for (const BalancedClique& clique : got.anchor_cliques) {
+          if (clique.size() == 2 && clique.left[0] == 0) ++hub_pairs;
+        }
+      }
+    }
+  }
+  // The family does reach the move it is for.
+  EXPECT_GT(hub_pairs, 0u);
 }
 
 // An anchor with no negative neighbors, one with no positive neighbors,
@@ -417,14 +503,16 @@ TEST(MbcHeuSparsePickTest, MatchesFullNetworkGreedyOnEdgeCases) {
 TEST(MbcHeuSparsePickTest, SameCheckpointSequenceAsFullNetworkGreedy) {
   const SignedGraph graph = HubBscl();
   const SignedGraph random = testing_util::RandomSignedGraph(300, 3000, 0.4, 9);
-  for (const SignedGraph* g : {&graph, &random}) {
+  const SignedGraph hub = HubWithSparseEdges(7);
+  for (const SignedGraph* g : {&graph, &random, &hub}) {
     // 300 rounds span several 1024-tick probe strides, so a shifted tick
     // moves a probe to another point of the search.
     for (uint32_t iterations : {0u, 24u, 300u}) {
       MbcHeuOptions options;
       options.local_search_iterations = iterations;
-      const std::string name = std::string(g == &graph ? "bscl" : "random") +
-                               " ls=" + std::to_string(iterations);
+      const std::string name =
+          std::string(g == &graph ? "bscl" : g == &random ? "random" : "hub") +
+          " ls=" + std::to_string(iterations);
       {
         ExecutionContext mine;
         ExecutionContext theirs;
@@ -435,8 +523,7 @@ TEST(MbcHeuSparsePickTest, SameCheckpointSequenceAsFullNetworkGreedy) {
         options.exec = &mine;
         const MbcHeuResult got = MbcHeuristicSearch(*g, 1, options);
         options.exec = &theirs;
-        ExpectSameResult(got, Oracle(*g, 1, options).result,
-                         name + " pre-expired");
+        ExpectSameResult(got, Oracle(*g, 1, options), name + " pre-expired");
         EXPECT_EQ(got.anchor_cliques.size(), 1u) << name;
         EXPECT_EQ(got.stats.interrupt_reason, InterruptReason::kDeadline);
       }
@@ -449,8 +536,9 @@ TEST(MbcHeuSparsePickTest, SameCheckpointSequenceAsFullNetworkGreedy) {
         options.exec = &mine;
         const MbcHeuResult got = MbcHeuristicSearch(*g, 1, options);
         options.exec = &theirs;
-        ExpectSameResult(got, Oracle(*g, 1, options).result,
+        ExpectSameResult(got, Oracle(*g, 1, options),
                          name + " fault seed=" + std::to_string(seed));
+        EXPECT_EQ(mine.ticks(), theirs.ticks()) << name;
       }
     }
   }

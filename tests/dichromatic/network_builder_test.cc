@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/bitset.h"
 #include "src/common/random.h"
 #include "src/datasets/families.h"
 #include "src/graph/cores.h"
@@ -377,6 +378,92 @@ TEST(NetworkBuilderTest, OutListsStoreEachEdgeOnceAtItsLowerRankedEnd) {
     EXPECT_EQ(stored, graph.NumEdges()) << name;
     // Under a degeneracy order no out-list exceeds the degeneracy.
     EXPECT_LE(max_out, degeneracy.degeneracy) << name;
+  }
+}
+
+// MaxDegreeMember and AppendNetworkNeighbors read g_u off the signed graph
+// without building it. Both must agree with a dense scan over the built
+// g_u: the max-degree member of a side among the candidates N(u) minus a
+// tabu member, its ties in local order, the seeded draw among them, and
+// the winner's g_u neighbors.
+TEST(NetworkBuilderTest, SparseScansMatchDenseScanOverBuiltNetwork) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const SignedGraph graph =
+        testing_util::RandomSignedGraph(60, 500 * seed, 0.4, seed);
+    DichromaticNetworkBuilder builder(graph);
+    std::vector<VertexId> ties;
+    std::vector<VertexId> neighbors;
+    for (VertexId u = 0; u < graph.NumVertices(); ++u) {
+      if (graph.Degree(u) < 2) continue;
+      const DichromaticNetwork net = builder.Build(u);
+      const DichromaticGraph& g = net.graph;
+      const uint32_t k = g.NumVertices();
+      // g_u's neighbors of local x other than u and `skip`, as vertex ids.
+      const auto dense_neighbors = [&](uint32_t x, uint32_t skip) {
+        std::vector<VertexId> ids;
+        g.AdjacencyOf(x).ForEach([&](size_t w) {
+          if (w != 0 && w != skip) ids.push_back(net.to_original[w]);
+        });
+        std::sort(ids.begin(), ids.end());
+        return ids;
+      };
+      for (uint32_t y = 1; y < k; ++y) {
+        neighbors.clear();
+        builder.AppendNetworkNeighbors(u, net.to_original[y], &neighbors);
+        std::sort(neighbors.begin(), neighbors.end());
+        EXPECT_EQ(neighbors, dense_neighbors(y, 0)) << "u=" << u;
+      }
+      for (const uint32_t tabu : {0u, 1 + u % (k - 1)}) {
+        Bitset candidates(k);
+        for (uint32_t i = 1; i < k; ++i) {
+          if (i != tabu) candidates.Set(i);
+        }
+        for (const Side side : {Side::kLeft, Side::kRight}) {
+          std::vector<VertexId> want_ties;
+          uint32_t best_degree = 0;
+          candidates.ForEach([&](size_t v) {
+            if (g.IsLeft(v) != (side == Side::kLeft)) return;
+            const uint32_t degree =
+                g.DegreeWithin(static_cast<uint32_t>(v), candidates);
+            if (want_ties.empty() || degree > best_degree) {
+              want_ties.assign(1, net.to_original[v]);
+              best_degree = degree;
+            } else if (degree == best_degree) {
+              want_ties.push_back(net.to_original[v]);
+            }
+          });
+          if (want_ties.empty()) continue;
+          const VertexId tabu_id = net.to_original[tabu];
+          const std::string where = "seed=" + std::to_string(seed) +
+                                    " u=" + std::to_string(u) +
+                                    " tabu=" + std::to_string(tabu_id);
+          Rng want_rng(seed + u);
+          Rng got_rng(seed + u);
+          const VertexId want =
+              want_ties.size() > 1
+                  ? want_ties[want_rng.NextBounded(want_ties.size())]
+                  : want_ties[0];
+          neighbors.clear();
+          const VertexId got = builder.MaxDegreeMember(
+              u, side, tabu_id, &got_rng, &ties, &neighbors);
+          EXPECT_EQ(got, want) << where;
+          EXPECT_EQ(ties, want_ties) << where;
+          EXPECT_EQ(got_rng.Next(), want_rng.Next()) << where;
+          std::sort(neighbors.begin(), neighbors.end());
+          const uint32_t got_local = static_cast<uint32_t>(
+              std::find(net.to_original.begin(), net.to_original.end(), got) -
+              net.to_original.begin());
+          EXPECT_EQ(neighbors, dense_neighbors(got_local, tabu)) << where;
+          if (tabu == 0) {
+            // The deterministic variant: the lowest id among the ties.
+            neighbors.clear();
+            EXPECT_EQ(builder.MaxDegreeMember(u, side, &neighbors),
+                      want_ties[0])
+                << where;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -284,10 +284,13 @@ int CmdHeu(const Flags& flags) {
       mbc::MbcHeuristicSearch(graph.value(), tau, options);
   std::printf("heuristic  tau: %u  time: %.3fs\n", tau,
               timer.ElapsedSeconds());
-  std::printf("greedy size: %zu  ls iterations: %llu  improvements: %llu\n",
-              result.stats.greedy_size,
-              static_cast<unsigned long long>(result.stats.ls_iterations),
-              static_cast<unsigned long long>(result.stats.ls_improvements));
+  std::printf(
+      "greedy size: %zu  ls iterations: %llu  improvements: %llu  "
+      "max network vertices: %u\n",
+      result.stats.greedy_size,
+      static_cast<unsigned long long>(result.stats.ls_iterations),
+      static_cast<unsigned long long>(result.stats.ls_improvements),
+      result.stats.max_network_vertices);
   ReportInterrupt();
   if (result.clique.empty()) {
     std::printf("no balanced clique found for tau=%u\n", tau);
