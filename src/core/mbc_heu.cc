@@ -9,8 +9,7 @@
 #include "src/common/random.h"
 #include "src/dichromatic/network_builder.h"
 #include "src/dichromatic/reductions.h"
-#include "src/graph/cores.h"
-#include "src/pf/pdecompose.h"
+#include "src/graph/graph_index.h"
 
 namespace mbc {
 namespace {
@@ -96,7 +95,8 @@ BalancedClique MaterializeLocal(const DichromaticNetwork& net,
 /// costs only O(m). The raw-degree anchors can all be "saturated hubs"
 /// whose neighborhoods hold no large balanced clique, so the vertex of
 /// maximum polar-core number pn (Lemma 5, the principled anchor for a
-/// *balanced* core) rides along; one O(m) decomposition buys it.
+/// *balanced* core) rides along, read from the graph's index: the first
+/// vertex of maximum pn.
 std::vector<VertexId> DegreeAndPolarAnchors(const SignedGraph& graph) {
   const VertexId n = graph.NumVertices();
   VertexId by_min = 0;
@@ -127,15 +127,10 @@ std::vector<VertexId> DegreeAndPolarAnchors(const SignedGraph& graph) {
       by_total = v;
     }
   }
-  const PolarDecomposition polar = PDecompose(graph);
-  VertexId by_polar = 0;
-  uint32_t best_pn = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    if (polar.polar_core_number[v] > best_pn) {
-      best_pn = polar.polar_core_number[v];
-      by_polar = v;
-    }
-  }
+  const PolarCoreNumbers& polar = graph.Index().Polar(graph);
+  const VertexId by_polar = static_cast<VertexId>(
+      std::find(polar.pn.begin(), polar.pn.end(), polar.max) -
+      polar.pn.begin());
   return {by_min, by_pos, by_neg, by_total, by_polar};
 }
 
@@ -159,12 +154,11 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
   // natural place to grow a large dichromatic neighborhood).
   std::vector<VertexId> anchors = DegreeAndPolarAnchors(graph);
   if (options.degeneracy_anchors > 0) {
-    const DegeneracyResult degeneracy = DegeneracyDecompose(graph);
-    const size_t n = degeneracy.order.size();
+    const std::vector<VertexId>& order =
+        graph.Index().DegeneracyOrder(graph);
+    const size_t n = order.size();
     const size_t take = std::min<size_t>(options.degeneracy_anchors, n);
-    for (size_t i = 0; i < take; ++i) {
-      anchors.push_back(degeneracy.order[n - 1 - i]);
-    }
+    for (size_t i = 0; i < take; ++i) anchors.push_back(order[n - 1 - i]);
   }
   // Dedupe, preserving first-seen order (the pool is tiny).
   {

@@ -24,6 +24,14 @@
 // g_u, the whole g_u is built instead (1 + d(u) vertices, about k²/8
 // bytes), so a hub's g_u is built only if its moves need half of it.
 //
+// The anchor pool costs O(n) per call: the degree anchors are one scan,
+// and the polar anchor and the degeneracy tail are read from the graph's
+// index (src/graph/graph_index.h), which computes PDecompose and the
+// degeneracy order once per graph, on the first call that needs them
+// (O(n + m) each). Repeated calls on one loaded graph, and MBC*'s call on
+// its reduced graph, whose polar part ApplyVertexReduction seeds, pay
+// neither again.
+//
 // MbcHeuristic is the configuration that seeds the lower bound of MBC*
 // (Line 2 of Algorithm 2) and PF* (Line 1 of Algorithm 4): the five
 // degree/polar anchors, greedy only.
@@ -107,7 +115,9 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
 /// MBC-Heu as MBC* and PF* run it: MbcHeuristicSearch over the five
 /// degree/polar anchors with local search off. Returns the largest greedy
 /// clique satisfying τ, or an empty clique. Per anchor u with first pick
-/// b: O(Σ_{x∈N(u)} deg(x)) plus a dense network over b's g_u neighbors.
+/// b: O(Σ_{x∈N(u)} deg(x)) plus a dense network over b's g_u neighbors;
+/// the polar anchor needs the graph's pn (built once per graph, or seeded
+/// by ApplyVertexReduction).
 /// `exec` may be null (ungoverned); on interrupt the best clique found so
 /// far is returned.
 BalancedClique MbcHeuristic(const SignedGraph& graph, uint32_t tau,

@@ -1,51 +1,22 @@
 // Copyright 2026 The balanced-clique Authors.
 #include "src/core/reductions.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/logging.h"
 #include "src/graph/cores.h"
+#include "src/graph/graph_index.h"
 #include "src/graph/signed_graph_builder.h"
 #include "src/graph/triangles.h"
+#include "src/pf/pdecompose.h"
 
 namespace mbc {
 
 std::vector<uint8_t> VertexReductionMask(const SignedGraph& graph,
                                          uint32_t tau) {
-  const VertexId n = graph.NumVertices();
-  std::vector<uint8_t> alive(n, 1);
-  if (tau == 0) return alive;
-  const uint32_t need_pos = tau - 1;
-  const uint32_t need_neg = tau;
-
-  std::vector<uint32_t> pos_degree(n);
-  std::vector<uint32_t> neg_degree(n);
-  std::vector<VertexId> pending;
-  for (VertexId v = 0; v < n; ++v) {
-    pos_degree[v] = graph.PositiveDegree(v);
-    neg_degree[v] = graph.NegativeDegree(v);
-    if (pos_degree[v] < need_pos || neg_degree[v] < need_neg) {
-      alive[v] = 0;
-      pending.push_back(v);
-    }
-  }
-  while (!pending.empty()) {
-    const VertexId v = pending.back();
-    pending.pop_back();
-    for (VertexId u : graph.PositiveNeighbors(v)) {
-      if (alive[u] && --pos_degree[u] < need_pos) {
-        alive[u] = 0;
-        pending.push_back(u);
-      }
-    }
-    for (VertexId u : graph.NegativeNeighbors(v)) {
-      if (alive[u] && --neg_degree[u] < need_neg) {
-        alive[u] = 0;
-        pending.push_back(u);
-      }
-    }
-  }
-  return alive;
+  // d+ ≥ τ-1 and d- ≥ τ is min{d+ + 1, d-} ≥ τ: the τ-polar core.
+  return PolarCoreMask(graph, tau);
 }
 
 namespace {
@@ -67,7 +38,27 @@ ReducedSignedGraph InduceAlive(const SignedGraph& graph,
 
 ReducedSignedGraph ApplyVertexReduction(const SignedGraph& graph,
                                         uint32_t tau) {
-  return InduceAlive(graph, VertexReductionMask(graph, tau));
+  // R_τ is the τ-polar core, and its pn the input's restricted to it
+  // (see the header).
+  const PolarCoreNumbers& polar = graph.Index().Polar(graph);
+  const size_t kept = static_cast<size_t>(std::count_if(
+      polar.pn.begin(), polar.pn.end(),
+      [tau](uint32_t pn) { return pn >= tau; }));
+  std::vector<VertexId> keep;
+  keep.reserve(kept);
+  PolarCoreNumbers seeded;
+  seeded.pn.reserve(kept);
+  for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+    if (polar.pn[v] >= tau) {
+      keep.push_back(v);
+      seeded.pn.push_back(polar.pn[v]);
+    }
+  }
+  if (!keep.empty()) seeded.max = polar.max;
+  SignedGraph::InducedResult induced = graph.InducedSubgraph(keep);
+  induced.graph.Index().SeedPolar(std::move(seeded));
+  return ReducedSignedGraph{std::move(induced.graph),
+                            std::move(induced.to_original)};
 }
 
 ReducedSignedGraph ApplyCoreReduction(const ReducedSignedGraph& reduced,

@@ -17,7 +17,10 @@ namespace mbc {
 /// VertexReduction [13]: every vertex of a balanced clique satisfying the
 /// polarization constraint τ has positive degree ≥ τ-1 and negative degree
 /// ≥ τ. Iteratively removes violating vertices (cascading) and returns the
-/// alive mask. O(n + m). For τ == 0 all vertices survive.
+/// alive mask: the τ-polar core, peeled by PolarCoreMask
+/// (src/pf/pdecompose.h). O(n + m). For τ == 0 all vertices survive. The
+/// peel that EdgeReduction's rounds run and the reference
+/// ApplyVertexReduction is tested against.
 std::vector<uint8_t> VertexReductionMask(const SignedGraph& graph,
                                          uint32_t tau);
 
@@ -43,6 +46,15 @@ struct ReducedSignedGraph {
   /// Maps reduced vertex ids back to the input graph's ids.
   std::vector<VertexId> to_original;
 };
+
+/// The vertices VertexReductionMask keeps satisfy min{d+ + 1, d-} ≥ τ, so
+/// the reduced graph R_τ is the input's τ-polar core: the vertices with
+/// pn ≥ τ. It is read from the input's index (src/graph/graph_index.h)
+/// by an O(n) scan plus InducedSubgraph's O(n + kept degrees), not peeled;
+/// the first call on a graph pays its PDecompose, O(n + m), once. R_τ's
+/// own index starts with its polar part seeded: every k-polar core with
+/// k ≥ τ lies inside R_τ, so pn over R_τ is the input's pn restricted to
+/// it, and MbcHeuristic on R_τ runs no PDecompose.
 ReducedSignedGraph ApplyVertexReduction(const SignedGraph& graph,
                                         uint32_t tau);
 

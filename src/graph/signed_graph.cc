@@ -4,6 +4,7 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
+#include "src/graph/graph_index.h"
 
 namespace mbc {
 namespace {
@@ -98,6 +99,15 @@ size_t SignedGraph::MemoryBytes() const {
          owned_neg_neighbors_.capacity() * sizeof(VertexId);
 }
 
+GraphIndex& SignedGraph::Index() const {
+  if (index_ != nullptr) return *index_;
+  MBC_DCHECK(num_vertices_ == 0);
+  static GraphIndex empty_graph_index;
+  return empty_graph_index;
+}
+
+void SignedGraph::ResetIndex() { index_ = std::make_shared<GraphIndex>(); }
+
 void SignedGraph::BindOwnedViews() {
   pos_offsets_ = owned_pos_offsets_.data();
   pos_neighbors_ = owned_pos_neighbors_.data();
@@ -115,6 +125,7 @@ void SignedGraph::CopyFrom(const SignedGraph& other) {
   fingerprint_hint_ = other.fingerprint_hint_;
   has_fingerprint_hint_ = other.has_fingerprint_hint_;
   payload_ = other.payload_;
+  index_ = other.index_;
   if (payload_ != nullptr) {
     // Mapped: copies share the payload and its views — O(1).
     owned_pos_offsets_.clear();
@@ -142,6 +153,7 @@ void SignedGraph::MoveFrom(SignedGraph&& other) noexcept {
   fingerprint_hint_ = other.fingerprint_hint_;
   has_fingerprint_hint_ = other.has_fingerprint_hint_;
   payload_ = std::move(other.payload_);
+  index_ = std::move(other.index_);
   owned_pos_offsets_ = std::move(other.owned_pos_offsets_);
   owned_pos_neighbors_ = std::move(other.owned_pos_neighbors_);
   owned_neg_offsets_ = std::move(other.owned_neg_offsets_);
@@ -183,6 +195,7 @@ SignedGraph SignedGraph::FromOwnedCsr(VertexId num_vertices,
   graph.owned_neg_offsets_ = std::move(neg_offsets);
   graph.owned_neg_neighbors_ = std::move(neg_neighbors);
   graph.BindOwnedViews();
+  graph.ResetIndex();
   return graph;
 }
 
@@ -204,6 +217,7 @@ SignedGraph SignedGraph::FromMappedCsr(
   graph.mapped_bytes_ = mapped_bytes;
   graph.fingerprint_hint_ = fingerprint_hint;
   graph.has_fingerprint_hint_ = true;
+  graph.ResetIndex();
   MBC_CHECK(graph.payload_ != nullptr)
       << "FromMappedCsr requires a payload keeper";
   return graph;

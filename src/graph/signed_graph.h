@@ -25,6 +25,7 @@
 
 namespace mbc {
 
+class GraphIndex;
 class SignedGraphBuilder;
 
 /// Immutable signed graph. Construct via SignedGraphBuilder, or via the
@@ -111,7 +112,14 @@ class SignedGraph {
 
   /// Bytes of heap memory owned by this graph's CSR arrays. Zero for a
   /// mapped graph — its bytes live in the shared mapping (MappedBytes()).
+  /// The index's bytes are Index().MemoryBytes().
   size_t MemoryBytes() const;
+
+  /// The graph's index of τ-independent derived structures (polar-core
+  /// numbers, degeneracy order; src/graph/graph_index.h), each computed
+  /// on first use. Copies share it; InducedSubgraph, the builder and the
+  /// CSR factories give a new graph an empty one.
+  GraphIndex& Index() const;
 
   /// True when the CSR views point into a shared payload (mmapped file)
   /// instead of owned heap vectors.
@@ -187,6 +195,8 @@ class SignedGraph {
 
   /// Points the view pointers at the owned vectors.
   void BindOwnedViews();
+  /// Gives the graph a new, empty index.
+  void ResetIndex();
   void CopyFrom(const SignedGraph& other);
   void MoveFrom(SignedGraph&& other) noexcept;
 
@@ -212,6 +222,9 @@ class SignedGraph {
   size_t mapped_bytes_ = 0;
   uint64_t fingerprint_hint_ = 0;
   bool has_fingerprint_hint_ = false;
+  /// Shared by copies. Null for a default-constructed or moved-from
+  /// graph, whose Index() is the one index of the empty graph.
+  std::shared_ptr<GraphIndex> index_;
 };
 
 struct SignedGraph::InducedResult {

@@ -102,6 +102,7 @@ bool SignedGraphBuilder::Finalize(SignedGraph* out) {
   out->mapped_bytes_ = 0;
   out->has_fingerprint_hint_ = false;
   out->BindOwnedViews();
+  out->ResetIndex();
   return true;
 }
 

@@ -9,6 +9,7 @@
 #include "src/common/fingerprint.h"
 #include "src/common/memory.h"
 #include "src/graph/binary_io.h"
+#include "src/graph/graph_index.h"
 #include "src/graph/graph_io.h"
 
 namespace mbc {
@@ -16,7 +17,9 @@ namespace mbc {
 namespace {
 
 size_t SnapshotMemoryBytes(const SignedGraph& graph) {
-  size_t bytes = graph.MemoryBytes() + sizeof(GraphStore::Snapshot);
+  // The index is built by the first query that needs it, after load.
+  size_t bytes = graph.MemoryBytes() + graph.Index().MemoryBytes() +
+                 sizeof(GraphStore::Snapshot);
   if (graph.IsMapped()) {
     // Charge only the pages the load actually faulted (header + offset
     // arrays for a cold load), not the file size: mapped adjacency is
@@ -45,7 +48,6 @@ GraphStore::Snapshot::~Snapshot() {
 }
 
 void GraphStore::Snapshot::RefreshMemoryAccounting() const {
-  if (!graph_.IsMapped()) return;
   const size_t current = SnapshotMemoryBytes(graph_);
   const size_t charged =
       memory_bytes_.exchange(current, std::memory_order_relaxed);
@@ -121,9 +123,9 @@ Status GraphStore::Evict(const std::string& name) {
   if (it == snapshots_.end()) {
     return Status::NotFound("graph '" + name + "' is not loaded");
   }
-  // Mapped snapshots fault adjacency pages in as queries touch them; the
-  // load-time resident sample understates what eviction gives back, so
-  // re-sample before the uncharge happens.
+  // Queries fault mapped adjacency pages in and build the graph's index
+  // after load, so the load-time charge understates what eviction gives
+  // back; re-sample before the uncharge happens.
   it->second->RefreshMemoryAccounting();
   snapshots_.erase(it);
   deltas_.erase(name);

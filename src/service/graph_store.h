@@ -48,20 +48,20 @@ class GraphStore {
     const SignedGraph& graph() const { return graph_; }
     uint64_t fingerprint() const { return fingerprint_; }
     uint64_t version() const { return version_; }
-    /// Heap bytes owned by the snapshot plus, for mapped graphs, the
-    /// bytes of the mapping resident at load time. A cold mmap load
-    /// charges only its faulted header/offset pages, not the file size.
+    /// Heap bytes owned by the snapshot (CSR arrays and the parts of the
+    /// graph's index built so far) plus, for mapped graphs, the bytes of
+    /// the mapping resident when last sampled. A cold mmap load charges
+    /// only its faulted header/offset pages, not the file size.
     size_t memory_bytes() const {
       return memory_bytes_.load(std::memory_order_relaxed);
     }
     bool mapped() const { return graph_.IsMapped(); }
     size_t mapped_bytes() const { return graph_.MappedBytes(); }
 
-    /// Re-samples the mapped-resident portion of the charge. Queries
-    /// fault adjacency pages in after load, so the load-time sample goes
-    /// stale; Evict calls this so the MemoryTracker uncharge (when the
-    /// last reference drops) matches what is actually resident. No-op
-    /// for non-mapped snapshots.
+    /// Re-samples the charge. Queries fault adjacency pages in and build
+    /// the graph's index after load, so the load-time charge goes stale;
+    /// Evict calls this so the MemoryTracker uncharge (when the last
+    /// reference drops) matches what the snapshot actually holds.
     void RefreshMemoryAccounting() const;
 
    private:

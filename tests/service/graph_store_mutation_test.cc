@@ -10,6 +10,10 @@
 
 #include "src/common/fingerprint.h"
 #include "src/common/status.h"
+#include "src/datasets/generators.h"
+#include "src/graph/cores.h"
+#include "src/graph/graph_index.h"
+#include "src/pf/pdecompose.h"
 #include "src/service/graph_store.h"
 #include "tests/test_util.h"
 
@@ -144,6 +148,71 @@ TEST(GraphStoreMutationTest, CompactRewritesToContentFingerprint) {
   ASSERT_TRUE(second.ok());
   EXPECT_FALSE(second.value().changed);
   EXPECT_EQ(second.value().fingerprint, first.value().fingerprint);
+}
+
+void ExpectIndexMatchesRecomputation(const SignedGraph& graph) {
+  const PolarDecomposition polar = PDecompose(graph);
+  EXPECT_EQ(graph.Index().Polar(graph).pn, polar.polar_core_number);
+  EXPECT_EQ(graph.Index().Polar(graph).max, polar.max_polar_core);
+  EXPECT_EQ(graph.Index().DegeneracyOrder(graph),
+            DegeneracyDecompose(graph).order);
+}
+
+TEST(GraphStoreMutationTest, IndexFollowsMutationAndCompaction) {
+  GraphStore store;
+  BsclOptions options;
+  options.num_vertices = 800;
+  options.num_edges = 5000;
+  options.seed = 21;
+  ASSERT_TRUE(store.Load("g", GenerateBsclSignedGraph(options)).ok());
+  const GraphStore::SnapshotPtr base = store.Find("g").value();
+  const SignedGraph& base_graph = base->graph();
+  // A query builds the base's index before the batch.
+  const PolarCoreNumbers& base_polar = base_graph.Index().Polar(base_graph);
+  const std::vector<uint32_t> base_pn = base_polar.pn;
+  const std::vector<VertexId> base_order =
+      base_graph.Index().DegeneracyOrder(base_graph);
+
+  // Wire vertices 400..415 into a balanced clique and drop each of
+  // vertices 0..9's negative edges to vertices 10..399, so that pn moves.
+  MutationBatch batch;
+  for (VertexId u = 400; u < 416; ++u) {
+    for (VertexId v = u + 1; v < 416; ++v) {
+      batch.add.push_back(
+          {u, v, u % 2 == v % 2 ? Sign::kPositive : Sign::kNegative});
+    }
+  }
+  for (VertexId u = 0; u < 10; ++u) {
+    for (VertexId v : base_graph.NegativeNeighbors(u)) {
+      if (v >= 10 && v < 400) batch.remove.emplace_back(u, v);
+    }
+  }
+  DeltaBudget budget;
+  budget.compact_ratio = 100.0;  // keep the drift for Compact below
+  const auto outcome = store.Mutate("g", batch, budget);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_GT(outcome.value().stats.removed, 0u);
+
+  const GraphStore::SnapshotPtr head = store.Find("g").value();
+  ASSERT_NE(head.get(), base.get());
+  const SignedGraph& head_graph = head->graph();
+  EXPECT_NE(&head_graph.Index(), &base_graph.Index());
+  EXPECT_EQ(head_graph.Index().MemoryBytes(), 0u);
+  ExpectIndexMatchesRecomputation(head_graph);
+  EXPECT_NE(head_graph.Index().Polar(head_graph).pn, base_pn);
+
+  // The previous snapshot keeps its own index, untouched.
+  EXPECT_EQ(&base_graph.Index().Polar(base_graph), &base_polar);
+  EXPECT_EQ(base_polar.pn, base_pn);
+  EXPECT_EQ(base_graph.Index().DegeneracyOrder(base_graph), base_order);
+  ExpectIndexMatchesRecomputation(base_graph);
+
+  const auto compacted = store.Compact("g");
+  ASSERT_TRUE(compacted.ok());
+  EXPECT_TRUE(compacted.value().changed);
+  const GraphStore::SnapshotPtr rebased = store.Find("g").value();
+  ASSERT_NE(rebased.get(), head.get());
+  ExpectIndexMatchesRecomputation(rebased->graph());
 }
 
 TEST(GraphStoreMutationTest, ConcurrentMutationsOfOneNameSerialize) {

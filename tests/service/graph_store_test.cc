@@ -15,6 +15,7 @@
 #include "src/common/status.h"
 #include "src/datasets/generators.h"
 #include "src/graph/binary_io.h"
+#include "src/graph/graph_index.h"
 #include "tests/test_util.h"
 
 namespace mbc {
@@ -101,6 +102,32 @@ TEST(GraphStoreTest, MemoryAccountingSettles) {
     EXPECT_GT(MemoryTracker::Global().current_bytes(), baseline);
     EXPECT_GT(store.TotalMemoryBytes(), 0u);
     ASSERT_TRUE(store.Evict("g").ok());
+  }
+  EXPECT_EQ(MemoryTracker::Global().current_bytes(), baseline);
+}
+
+TEST(GraphStoreTest, ChargeCountsTheIndexOnceBuilt) {
+  const uint64_t baseline = MemoryTracker::Global().current_bytes();
+  {
+    GraphStore store;
+    ASSERT_TRUE(store.Load("g", RandomSignedGraph(128, 800, 0.4, 1)).ok());
+    const GraphStore::SnapshotPtr snapshot = store.Find("g").value();
+    const SignedGraph& graph = snapshot->graph();
+    const size_t at_load = snapshot->memory_bytes();
+    EXPECT_EQ(graph.Index().MemoryBytes(), 0u);
+    snapshot->RefreshMemoryAccounting();
+    EXPECT_EQ(snapshot->memory_bytes(), at_load);
+
+    // A query builds the index; Evict re-samples the charge, so the
+    // uncharge when the last reference drops covers the index too.
+    graph.Index().Polar(graph);
+    graph.Index().DegeneracyOrder(graph);
+    const size_t index_bytes = graph.Index().MemoryBytes();
+    EXPECT_EQ(index_bytes, 2 * sizeof(uint32_t) * graph.NumVertices());
+    ASSERT_TRUE(store.Evict("g").ok());
+    EXPECT_EQ(snapshot->memory_bytes(), at_load + index_bytes);
+    EXPECT_EQ(MemoryTracker::Global().current_bytes(),
+              baseline + at_load + index_bytes);
   }
   EXPECT_EQ(MemoryTracker::Global().current_bytes(), baseline);
 }
