@@ -2,6 +2,7 @@
 #include "src/core/reductions.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -44,6 +45,13 @@ ReducedSignedGraph ApplyVertexReduction(const SignedGraph& graph,
   const size_t kept = static_cast<size_t>(std::count_if(
       polar.pn.begin(), polar.pn.end(),
       [tau](uint32_t pn) { return pn >= tau; }));
+  if (kept == graph.NumVertices()) {
+    // Nothing to drop (always so at τ = 0): a copy of the input, which
+    // shares its index and, for a mapped graph, its mapping.
+    std::vector<VertexId> identity(kept);
+    std::iota(identity.begin(), identity.end(), VertexId{0});
+    return ReducedSignedGraph{graph, std::move(identity)};
+  }
   std::vector<VertexId> keep;
   keep.reserve(kept);
   PolarCoreNumbers seeded;

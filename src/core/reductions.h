@@ -54,7 +54,9 @@ struct ReducedSignedGraph {
 /// the first call on a graph pays its PDecompose, O(n + m), once. R_τ's
 /// own index starts with its polar part seeded: every k-polar core with
 /// k ≥ τ lies inside R_τ, so pn over R_τ is the input's pn restricted to
-/// it, and MbcHeuristic on R_τ runs no PDecompose.
+/// it, and MbcHeuristic on R_τ runs no PDecompose. When every vertex has
+/// pn ≥ τ (always at τ = 0), R_τ is a copy of the input with the identity
+/// map: it shares the input's index, and a mapped input copies in O(1).
 ReducedSignedGraph ApplyVertexReduction(const SignedGraph& graph,
                                         uint32_t tau);
 

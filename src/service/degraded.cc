@@ -42,16 +42,23 @@ QueryResult ComputeDegradedResult(const SignedGraph& graph, QueryKind kind,
   if (kind == QueryKind::kPf) return result;
 
   // kGmbc: per tau in [0, beta], the largest pooled clique whose min side
-  // reaches tau. The candidate set shrinks as tau grows, so the sizes are
-  // non-increasing, as exact gMBC sizes are.
-  result.gmbc_sizes.assign(result.beta + 1, 0);
+  // reaches tau (the first in pool order on ties), and its size. The
+  // candidate set shrinks as tau grows, so the sizes are non-increasing,
+  // as exact gMBC sizes are.
+  result.gmbc_sizes.reserve(result.beta + 1);
+  result.gmbc_cliques.reserve(result.beta + 1);
   for (uint32_t t = 0; t <= result.beta; ++t) {
+    const BalancedClique* chosen = nullptr;
     for (const BalancedClique& clique : pool) {
-      if (clique.MinSide() >= t) {
-        result.gmbc_sizes[t] = std::max(
-            result.gmbc_sizes[t], static_cast<uint32_t>(clique.size()));
+      if (clique.MinSide() >= t &&
+          (chosen == nullptr || clique.size() > chosen->size())) {
+        chosen = &clique;
       }
     }
+    result.gmbc_cliques.push_back(chosen == nullptr ? BalancedClique{}
+                                                    : *chosen);
+    result.gmbc_sizes.push_back(
+        static_cast<uint32_t>(result.gmbc_cliques.back().size()));
   }
   return result;
 }

@@ -26,7 +26,8 @@ namespace mbc {
 /// tolerance budget): the best anchored greedy clique satisfying tau
 /// (possibly empty). kPf: beta lower bound = the largest min side over
 /// the greedy cliques. kGmbc: that beta bound plus, per tau in
-/// [0, beta], the largest greedy clique with min side >= tau. Each anchor
+/// [0, beta], the largest greedy clique with min side >= tau, as its
+/// witness (gmbc_cliques) and its size (gmbc_sizes). Each anchor
 /// runs once whatever beta is. Deterministic for a given graph; O(k * m)
 /// for a handful of anchors.
 QueryResult ComputeDegradedResult(const SignedGraph& graph, QueryKind kind,

@@ -287,6 +287,7 @@ Result<QueryRequest> QueryRequestFromFields(const JsonlFields& fields) {
   QueryRequest request;
   bool has_tolerance = false;
   bool has_warm_start = false;
+  const std::string* algo = nullptr;
   for (const auto& [name, value] : fields) {
     if (name == "op") {
       // Validated by the caller.
@@ -328,7 +329,7 @@ Result<QueryRequest> QueryRequestFromFields(const JsonlFields& fields) {
       MBC_ASSIGN_OR_RETURN(request.warm_start, FieldAsBool(name, value));
       has_warm_start = true;
     } else if (name == "algo") {
-      request.algo = value;
+      algo = &value;
     } else if (name == "time_limit_seconds") {
       MBC_ASSIGN_OR_RETURN(request.time_limit_seconds,
                            FieldAsDouble(name, value));
@@ -365,6 +366,14 @@ Result<QueryRequest> QueryRequestFromFields(const JsonlFields& fields) {
   if (has_warm_start && request.kind != QueryKind::kMbc) {
     return Status::InvalidArgument(
         "'warm_start' is only valid for kind mbc");
+  }
+  // Each kind has one engine; "algo" may only name it.
+  if (algo != nullptr && *algo != QueryKindEngine(request.kind)) {
+    return Status::InvalidArgument(
+        "algo '" + *algo + "' is not served for kind " +
+        QueryKindName(request.kind) + ", whose one engine is '" +
+        QueryKindEngine(request.kind) +
+        "'; the paper baselines run through mbc_cli");
   }
   return request;
 }

@@ -26,9 +26,11 @@
 //
 // A line without an "op" field is a query — batch files of pure queries
 // need no boilerplate. Query fields other than "graph" are optional
-// (kind defaults to "mbc", tau to 1, algo to the solver default); see
-// QueryRequest for the full set, including per-request
-// "time_limit_seconds", "memory_limit_mb" and "no_cache".
+// (kind defaults to "mbc", tau to 1); see QueryRequest for the full set,
+// including per-request "time_limit_seconds", "memory_limit_mb" and
+// "no_cache". Each kind is served by one engine, and an "algo" field may
+// only name it (QueryKindEngine: "star", "heu" or "tol"); anything else,
+// the paper's baselines included, is invalid_argument.
 //
 // The parser accepts exactly the subset of JSON the protocol needs: one
 // flat object of string / number / boolean fields per line. Nested

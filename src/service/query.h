@@ -1,10 +1,11 @@
 // Copyright 2026 The balanced-clique Authors.
 //
 // Request / response types of the query service. One QueryRequest names a
-// stored graph, a problem (MBC / PF / gMBC) and its parameters; one
-// QueryResponse carries either the solver result or an error status. Both
-// sides have flat JSON encodings (see jsonl.h) used by mbc_serve and the
-// mbc_cli batch command.
+// stored graph, a problem (MBC / PF / gMBC / heuristic / tolerant MBC) and
+// its parameters, each kind served by exactly one engine; one QueryResponse
+// carries either the solver result or an error status. Both sides have flat
+// JSON encodings (see jsonl.h) used by mbc_serve and the mbc_cli batch
+// command.
 #ifndef MBC_SERVICE_QUERY_H_
 #define MBC_SERVICE_QUERY_H_
 
@@ -41,6 +42,17 @@ inline const char* QueryKindName(QueryKind kind) {
   return "unknown";
 }
 
+/// The one engine that serves `kind`, by the name the wire's optional
+/// "algo" field may spell (see jsonl.h) and the cache labels its answers:
+/// MBC* / PF* / gMBC* for the exact kinds, MBC-Heu and the tolerant
+/// solver for theirs. The paper's baselines are library-only (mbc_cli
+/// --algo, the figure benches).
+inline const char* QueryKindEngine(QueryKind kind) {
+  if (kind == QueryKind::kMbcHeu) return "heu";
+  if (kind == QueryKind::kMbcTol) return "tol";
+  return "star";
+}
+
 /// Kinds whose semantics (and cache identity) depend on the request tau.
 inline bool KindUsesTau(QueryKind kind) {
   return kind == QueryKind::kMbc || kind == QueryKind::kMbcHeu ||
@@ -63,9 +75,6 @@ struct QueryRequest {
   /// for the parallel engine; cached under a distinct algo label so warm
   /// and cold entries never collide.
   bool warm_start = false;
-  /// Algorithm variant: kMbc accepts "star" (default), "baseline", "adv";
-  /// kPf accepts "star" (default), "bs".
-  std::string algo;
   /// Per-request governor budgets; 0 = the service default / unlimited.
   double time_limit_seconds = 0.0;
   uint64_t memory_limit_mb = 0;
@@ -77,13 +86,13 @@ struct QueryRequest {
   /// Bypass the result cache (both lookup and insert) for this request.
   bool no_cache = false;
   /// Intra-query parallelism: worker threads this one query may use
-  /// (0 = off, the sequential engine). Valid only for kind=mbc with the
-  /// default ("star") algorithm — anything else is invalid_argument. The
-  /// count is a *request*: the service grants at most its configured
-  /// intra-query budget (ServiceOptions::intra_query_threads) and clamps
-  /// to 1 when the budget is 0 or exhausted. The answer is byte-identical
-  /// whatever is granted (the parallel engine is deterministic across
-  /// thread counts), so the grant affects latency only.
+  /// (0 = off, the sequential engine). Valid only for kind=mbc — anything
+  /// else is invalid_argument. The count is a *request*: the service
+  /// grants at most its configured intra-query budget
+  /// (ServiceOptions::intra_query_threads) and clamps to 1 when the budget
+  /// is 0 or exhausted. The answer is byte-identical whatever is granted
+  /// (the parallel engine is deterministic across thread counts), so the
+  /// grant affects latency only.
   uint32_t parallel_threads = 0;
   /// kGmbc: include the full witness cliques in the response (the default
   /// reports sizes only, keeping responses and goldens small).

@@ -7,18 +7,17 @@
 #include <utility>
 
 #include "src/common/execution.h"
-#include "src/core/mbc_adv.h"
-#include "src/core/mbc_baseline.h"
+#include "src/common/logging.h"
 #include "src/core/mbc_heu.h"
 #include "src/core/mbc_parallel.h"
 #include "src/core/mbc_star.h"
 #include "src/core/mbc_tolerant.h"
 #include "src/core/mdc_solver.h"
+#include "src/core/verify.h"
 #include "src/gmbc/gmbc.h"
 #include "src/pf/dcc_solver.h"
-#include "src/service/degraded.h"
-#include "src/pf/pf_bs.h"
 #include "src/pf/pf_star.h"
+#include "src/service/degraded.h"
 
 namespace mbc {
 
@@ -30,74 +29,86 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Algorithm label after defaulting: the cache must treat "star" and ""
-/// as one key.
-std::string NormalizedAlgo(const QueryRequest& request) {
-  if (!request.algo.empty()) return request.algo;
-  return "star";
-}
-
 /// Whether this request runs the intra-query parallel engine (assumes
-/// ValidateParallelRequest passed).
+/// ValidateRequest passed).
 bool IsParallelRequest(const QueryRequest& request) {
   return request.parallel_threads > 0 && request.kind == QueryKind::kMbc;
 }
 
-/// The cache label. Parallel runs cache under their own "parallel" label:
-/// one entry serves every thread count (the engine is deterministic), but
-/// the witness may legitimately differ from sequential MBC*'s (parallel
-/// returns the canonical lex-min optimum), so the two must not share a key.
-/// Warm-started runs likewise get a "+warm" suffix: the parallel engine's
-/// witness is warm-start-neutral, but sequential MBC*'s first-found-max
-/// witness can legitimately differ with a better starting incumbent, so
-/// warm and cold entries never share a key. The heuristic and tolerant
-/// kinds have exactly one engine each; their fixed labels keep the key
-/// independent of how the (absent) algo field was spelled.
-std::string CacheAlgoLabel(const QueryRequest& request) {
-  if (request.kind == QueryKind::kMbcHeu) return "heu";
-  if (request.kind == QueryKind::kMbcTol) return "tol";
-  std::string label =
-      IsParallelRequest(request) ? "parallel" : NormalizedAlgo(request);
-  if (request.warm_start) label += "+warm";
-  return label;
-}
-
-/// parallel_threads composes only with kind=mbc and the default (star)
-/// algorithm; "parallel" is not an algo label callers may spell directly
-/// (it would alias the parallel engine's cache entries).
-Status ValidateParallelRequest(const QueryRequest& request) {
-  if (request.algo == "parallel") {
-    return Status::InvalidArgument(
-        "algo 'parallel' is not addressable; request intra-query "
-        "parallelism with the parallel_threads field");
-  }
-  if (request.parallel_threads == 0) return Status::OK();
-  if (request.kind != QueryKind::kMbc) {
+/// The one request check, run on both admission paths (BrownoutAdmit and
+/// Execute). The protocol layer has already pinned the engine per kind;
+/// what is left is that parallel_threads and warm_start compose only with
+/// kind mbc, whose engines take a thread count and an initial incumbent.
+Status ValidateRequest(const QueryRequest& request) {
+  if (request.kind == QueryKind::kMbc) return Status::OK();
+  if (request.parallel_threads > 0) {
     return Status::InvalidArgument(
         "parallel_threads is only valid for kind 'mbc'");
   }
-  if (NormalizedAlgo(request) != "star") {
-    return Status::InvalidArgument(
-        "parallel_threads requires the default (star) algorithm, got '" +
-        request.algo + "'");
+  if (request.warm_start) {
+    return Status::InvalidArgument("warm_start is only valid for kind 'mbc'");
   }
   return Status::OK();
 }
 
-/// warm_start composes only with engines that accept an initial incumbent
-/// (MBC* and the parallel engine — both behind the default algo). The
-/// kind restriction is already enforced at the protocol layer.
-Status ValidateWarmStartRequest(const QueryRequest& request) {
-  if (!request.warm_start) return Status::OK();
-  if (request.kind != QueryKind::kMbc) {
-    return Status::InvalidArgument("warm_start is only valid for kind 'mbc'");
+/// The one place a request's cache key is built. PF / gMBC answers don't
+/// depend on tau, so it is pinned to 0 and "pf tau=1" and "pf tau=7" share
+/// an entry. The algo label is the kind's engine, except that:
+///   * parallel runs cache under "parallel": one entry serves every thread
+///     count (the engine is deterministic), but its witness is the
+///     canonical lex-min optimum while sequential MBC*'s is the first
+///     maximum it finds, so the two must not share a key;
+///   * warm-started runs add "+warm": sequential MBC*'s witness can differ
+///     with a better starting incumbent;
+///   * `degraded` keys a brownout answer: the fixed "greedy" label (the
+///     greedy tier ignores the engine) under the degraded tag, so an exact
+///     query can never be satisfied by it.
+/// The heuristic tier is inexact by definition, so its entries also live
+/// under the degraded tag.
+CacheKey CacheKeyFor(const QueryRequest& request, uint64_t fingerprint,
+                     bool degraded = false) {
+  CacheKey key;
+  key.graph_fingerprint = fingerprint;
+  key.kind = request.kind;
+  key.tau = KindUsesTau(request.kind) ? request.tau : 0;
+  key.tolerance = request.kind == QueryKind::kMbcTol ? request.tolerance : 0;
+  if (degraded) {
+    key.algo = "greedy";
+    key.exactness = CacheExactness::kDegraded;
+    return key;
   }
-  if (NormalizedAlgo(request) != "star") {
-    return Status::InvalidArgument(
-        "warm_start requires the default (star) algorithm, got '" +
-        request.algo + "'");
+  key.algo = IsParallelRequest(request) ? "parallel"
+                                        : QueryKindEngine(request.kind);
+  if (request.warm_start) key.algo += "+warm";
+  if (request.kind == QueryKind::kMbcHeu) {
+    key.exactness = CacheExactness::kDegraded;
   }
-  return Status::OK();
+  return key;
+}
+
+/// Whether an answer keeps its kind's promise on `graph`: an MBC or
+/// heuristic clique is balanced and meets tau (or is empty); each gMBC
+/// witness is balanced, meets its own tau and has its reported size.
+/// Execute checks every answer it computes with it in Debug builds.
+[[maybe_unused]] bool IsVerifiedAnswer(const SignedGraph& graph,
+                                       const QueryRequest& request,
+                                       const QueryResult& result) {
+  if (request.kind == QueryKind::kMbc || request.kind == QueryKind::kMbcHeu) {
+    return IsBalancedClique(graph, result.clique) &&
+           (result.clique.empty() ||
+            result.clique.SatisfiesThreshold(request.tau));
+  }
+  if (request.kind != QueryKind::kGmbc) return true;
+  if (result.gmbc_cliques.size() != result.gmbc_sizes.size()) return false;
+  for (size_t tau = 0; tau < result.gmbc_cliques.size(); ++tau) {
+    const BalancedClique& witness = result.gmbc_cliques[tau];
+    if (!IsBalancedClique(graph, witness) ||
+        !witness.SatisfiesThreshold(tau) ||
+        witness.size() != result.gmbc_sizes[tau]) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -200,14 +211,7 @@ std::optional<std::future<QueryResponse>> QueryService::BrownoutAdmit(
   // already exists is free: prefer the exact cached one, then a degraded
   // one. Everything else drops to the greedy tier (still queued — the
   // degeneracy greedy is O(m), cheap but not poll-thread cheap).
-  if (const Status valid = ValidateParallelRequest(task.request);
-      !valid.ok()) {
-    QueryResponse response;
-    response.status = valid;
-    return ImmediateResponse(task, std::move(response));
-  }
-  if (const Status valid = ValidateWarmStartRequest(task.request);
-      !valid.ok()) {
+  if (const Status valid = ValidateRequest(task.request); !valid.ok()) {
     QueryResponse response;
     response.status = valid;
     return ImmediateResponse(task, std::move(response));
@@ -219,25 +223,16 @@ std::optional<std::future<QueryResponse>> QueryService::BrownoutAdmit(
     return ImmediateResponse(task, std::move(response));
   }
   if (task.request.no_cache) return std::nullopt;
-  CacheKey key;
-  key.graph_fingerprint = snapshot.value()->fingerprint();
-  key.kind = task.request.kind;
-  key.tau = KindUsesTau(task.request.kind) ? task.request.tau : 0;
-  key.tolerance =
-      task.request.kind == QueryKind::kMbcTol ? task.request.tolerance : 0;
-  key.algo = CacheAlgoLabel(task.request);
-  if (task.request.kind == QueryKind::kMbcHeu) {
-    key.exactness = CacheExactness::kDegraded;
-  }
-  if (std::optional<QueryResult> hit = cache_.Lookup(key)) {
+  const uint64_t fingerprint = snapshot.value()->fingerprint();
+  if (std::optional<QueryResult> hit =
+          cache_.Lookup(CacheKeyFor(task.request, fingerprint))) {
     QueryResponse response;
     response.result = std::move(*hit);
     response.cached = true;
     return ImmediateResponse(task, std::move(response));
   }
-  key.exactness = CacheExactness::kDegraded;
-  key.algo = "greedy";
-  if (std::optional<QueryResult> hit = cache_.Lookup(key)) {
+  if (std::optional<QueryResult> hit = cache_.Lookup(
+          CacheKeyFor(task.request, fingerprint, /*degraded=*/true))) {
     QueryResponse response;
     response.result = std::move(*hit);
     response.cached = true;
@@ -475,23 +470,14 @@ QueryResponse QueryService::ExecuteDegraded(const Task& task) {
   }
   const SignedGraph& graph = snapshot.value()->graph();
   response.result = ComputeDegradedResult(graph, request.kind, request.tau);
+  MBC_DCHECK(IsVerifiedAnswer(graph, request, response.result))
+      << "degraded " << QueryKindName(request.kind) << " answer";
   response.degraded = true;
   queries_degraded_.fetch_add(1, std::memory_order_relaxed);
   if (!request.no_cache) {
-    // Degraded answers live under their own exactness tag (and a fixed
-    // "greedy" algo label — the greedy ignores the algo field): an exact
-    // query can never be satisfied by this entry.
-    CacheKey key;
-    key.graph_fingerprint = snapshot.value()->fingerprint();
-    key.kind = request.kind;
-    key.tau = KindUsesTau(request.kind) ? request.tau : 0;
-    // Keyed per-tolerance for symmetry with BrownoutAdmit's fallback
-    // lookup, although the greedy answer itself ignores the budget.
-    key.tolerance =
-        request.kind == QueryKind::kMbcTol ? request.tolerance : 0;
-    key.algo = "greedy";
-    key.exactness = CacheExactness::kDegraded;
-    cache_.Insert(key, response.result);
+    cache_.Insert(CacheKeyFor(request, snapshot.value()->fingerprint(),
+                              /*degraded=*/true),
+                  response.result);
   }
   return response;
 }
@@ -529,11 +515,7 @@ QueryResponse QueryService::Execute(WorkerState& state, const Task& task) {
 
   if (task.degraded) return finish(ExecuteDegraded(task));
 
-  if (const Status valid = ValidateParallelRequest(request); !valid.ok()) {
-    response.status = valid;
-    return finish(std::move(response));
-  }
-  if (const Status valid = ValidateWarmStartRequest(request); !valid.ok()) {
+  if (const Status valid = ValidateRequest(request); !valid.ok()) {
     response.status = valid;
     return finish(std::move(response));
   }
@@ -543,22 +525,7 @@ QueryResponse QueryService::Execute(WorkerState& state, const Task& task) {
     return finish(std::move(response));
   }
   const SignedGraph& graph = snapshot.value()->graph();
-  const std::string algo = NormalizedAlgo(request);
-
-  // PF / gMBC answers don't depend on the request's tau; pin it in the key
-  // so "pf tau=1" and "pf tau=7" share an entry.
-  CacheKey key;
-  key.graph_fingerprint = snapshot.value()->fingerprint();
-  key.kind = request.kind;
-  key.tau = KindUsesTau(request.kind) ? request.tau : 0;
-  key.tolerance =
-      request.kind == QueryKind::kMbcTol ? request.tolerance : 0;
-  key.algo = CacheAlgoLabel(request);
-  if (request.kind == QueryKind::kMbcHeu) {
-    // The heuristic tier is inexact by definition; its entries live under
-    // the degraded tag so they can never answer an exact query.
-    key.exactness = CacheExactness::kDegraded;
-  }
+  const CacheKey key = CacheKeyFor(request, snapshot.value()->fingerprint());
 
   if (!request.no_cache) {
     if (std::optional<QueryResult> hit = cache_.Lookup(key)) {
@@ -631,7 +598,7 @@ QueryResponse QueryService::Execute(WorkerState& state, const Task& task) {
         state.steals += result.num_steals;
         state.splits += result.num_splits;
         state.incumbent_updates += result.num_incumbent_updates;
-      } else if (algo == "star") {
+      } else {
         MbcStarOptions options;
         options.exec = &exec;
         options.shared_solver = &state.mdc_solver;
@@ -640,34 +607,11 @@ QueryResponse QueryService::Execute(WorkerState& state, const Task& task) {
             MaxBalancedCliqueStar(graph, request.tau, options);
         response.result.clique = std::move(result.clique);
         interrupt = result.stats.interrupt_reason;
-      } else if (algo == "baseline") {
-        MbcBaselineOptions options;
-        options.exec = &exec;
-        MbcBaselineResult result =
-            MaxBalancedCliqueBaseline(graph, request.tau, options);
-        response.result.clique = std::move(result.clique);
-        interrupt = result.interrupt_reason;
-      } else if (algo == "adv") {
-        MbcAdvOptions options;
-        options.exec = &exec;
-        MbcAdvResult result = MaxBalancedCliqueAdv(graph, request.tau, options);
-        response.result.clique = std::move(result.clique);
-        interrupt = result.interrupt_reason;
-      } else {
-        response.status =
-            Status::InvalidArgument("unknown mbc algo '" + algo + "'");
-        return finish(std::move(response));
       }
       response.result.clique.Canonicalize();
       break;
     }
     case QueryKind::kMbcHeu: {
-      if (!request.algo.empty() && request.algo != "heu") {
-        response.status =
-            Status::InvalidArgument("unknown mbc_heu algo '" + request.algo +
-                                    "'");
-        return finish(std::move(response));
-      }
       MbcHeuOptions options;
       options.exec = &exec;
       MbcHeuResult result = MbcHeuristicSearch(graph, request.tau, options);
@@ -677,12 +621,6 @@ QueryResponse QueryService::Execute(WorkerState& state, const Task& task) {
       break;
     }
     case QueryKind::kMbcTol: {
-      if (!request.algo.empty() && request.algo != "tol") {
-        response.status =
-            Status::InvalidArgument("unknown mbc_tol algo '" + request.algo +
-                                    "'");
-        return finish(std::move(response));
-      }
       MbcTolerantOptions options;
       options.exec = &exec;
       MbcTolerantResult result = MaxTolerantBalancedClique(
@@ -693,39 +631,18 @@ QueryResponse QueryService::Execute(WorkerState& state, const Task& task) {
       break;
     }
     case QueryKind::kPf: {
-      if (algo == "star") {
-        PfStarOptions options;
-        options.exec = &exec;
-        options.shared_solver = &state.dcc_solver;
-        PfStarResult result = PolarizationFactorStar(graph, options);
-        response.result.beta = result.beta;
-        interrupt = result.stats.interrupt_reason;
-      } else if (algo == "bs") {
-        PfBsOptions options;
-        options.exec = &exec;
-        PfBsResult result = PolarizationFactorBinarySearch(graph, options);
-        response.result.beta = result.beta;
-        interrupt = result.interrupt_reason;
-      } else {
-        response.status =
-            Status::InvalidArgument("unknown pf algo '" + algo + "'");
-        return finish(std::move(response));
-      }
+      PfStarOptions options;
+      options.exec = &exec;
+      options.shared_solver = &state.dcc_solver;
+      PfStarResult result = PolarizationFactorStar(graph, options);
+      response.result.beta = result.beta;
+      interrupt = result.stats.interrupt_reason;
       break;
     }
     case QueryKind::kGmbc: {
       GeneralizedMbcOptions options;
       options.exec = &exec;
-      GeneralizedMbcResult result;
-      if (algo == "star") {
-        result = GeneralizedMbcStar(graph, options);
-      } else if (algo == "basic") {
-        result = GeneralizedMbc(graph, options);
-      } else {
-        response.status =
-            Status::InvalidArgument("unknown gmbc algo '" + algo + "'");
-        return finish(std::move(response));
-      }
+      GeneralizedMbcResult result = GeneralizedMbcStar(graph, options);
       response.result.beta = result.beta;
       response.result.gmbc_sizes.reserve(result.cliques.size());
       for (const BalancedClique& clique : result.cliques) {
@@ -747,6 +664,8 @@ QueryResponse QueryService::Execute(WorkerState& state, const Task& task) {
     response.status = InterruptStatus(interrupt);
     return finish(std::move(response));
   }
+  MBC_DCHECK(IsVerifiedAnswer(graph, request, response.result))
+      << QueryKindName(request.kind) << " answer";
   if (!request.no_cache) cache_.Insert(key, response.result);
   return finish(std::move(response));
 }

@@ -2,12 +2,15 @@
 #include "src/core/reductions.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/brute_force.h"
 #include "src/core/verify.h"
+#include "src/graph/binary_io.h"
 #include "src/graph/cores.h"
 #include "tests/test_util.h"
 
@@ -70,6 +73,45 @@ TEST(ApplyVertexReductionTest, MappingIsConsistent) {
     EXPECT_EQ(graph.EdgeSign(reduced.to_original[u], reduced.to_original[v]),
               sign);
   });
+}
+
+// At τ = 0 every vertex has pn ≥ 0: R_0 is a copy of the input with the
+// identity map, sharing its CSR content and its index; a mapped input's
+// copy aliases the same mapping instead of copying it to the heap.
+TEST(ApplyVertexReductionTest, TauZeroIsACopyOfTheInput) {
+  const SignedGraph owned = RandomSignedGraph(40, 200, 0.5, 9);
+  const std::string path =
+      ::testing::TempDir() + "/core_reductions_tau_zero.mbcg";
+  ASSERT_TRUE(WriteSignedGraphBinary(owned, path).ok());
+  Result<SignedGraph> mapped = MmapSignedGraphBinary(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  const SignedGraph& aliased = mapped.value();
+  ASSERT_TRUE(aliased.IsMapped());
+
+  for (const SignedGraph* graph : {&owned, &aliased}) {
+    const ReducedSignedGraph reduced = ApplyVertexReduction(*graph, 0);
+    EXPECT_EQ(&reduced.graph.Index(), &graph->Index());
+    EXPECT_EQ(reduced.graph.IsMapped(), graph->IsMapped());
+    EXPECT_TRUE(std::ranges::equal(reduced.graph.PosOffsets(),
+                                   graph->PosOffsets()));
+    EXPECT_TRUE(std::ranges::equal(reduced.graph.NegOffsets(),
+                                   graph->NegOffsets()));
+    EXPECT_TRUE(std::ranges::equal(reduced.graph.PosNeighborEntries(),
+                                   graph->PosNeighborEntries()));
+    EXPECT_TRUE(std::ranges::equal(reduced.graph.NegNeighborEntries(),
+                                   graph->NegNeighborEntries()));
+    ASSERT_EQ(reduced.to_original.size(), graph->NumVertices());
+    for (VertexId v = 0; v < graph->NumVertices(); ++v) {
+      EXPECT_EQ(reduced.to_original[v], v);
+    }
+    if (graph->IsMapped()) {
+      EXPECT_EQ(reduced.graph.PosNeighborEntries().data(),
+                graph->PosNeighborEntries().data());
+      EXPECT_EQ(reduced.graph.NegNeighborEntries().data(),
+                graph->NegNeighborEntries().data());
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ApplyCoreReductionTest, KeepsTheCoreInInputIds) {

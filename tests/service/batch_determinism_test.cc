@@ -25,9 +25,9 @@ SignedGraph MakeGraph(uint32_t g) {
   return RandomSignedGraph(30 + 5 * g, 180 + 40 * g, 0.45, 500 + g);
 }
 
-/// Builds the batch: a bounded pool of distinct (graph, kind, tau, algo)
-/// shapes, cycled deterministically so well over half the lines repeat an
-/// earlier shape.
+/// Builds the batch: a bounded pool of distinct (graph, kind, tau,
+/// warm_start) shapes, cycled deterministically so well over half the
+/// lines repeat an earlier shape.
 std::string BuildBatch() {
   std::ostringstream batch;
   uint64_t state = 12345;
@@ -40,10 +40,11 @@ std::string BuildBatch() {
     if (pick < 5) {
       batch << ",\"kind\":\"mbc\",\"tau\":"
             << 1 + static_cast<uint32_t>((state >> 7) % 4);
-      if (pick == 4) batch << ",\"algo\":\"adv\"";
-    } else if (pick < 7) {
+      if (pick == 4) batch << ",\"warm_start\":true";
+    } else if (pick == 5) {
       batch << ",\"kind\":\"pf\"";
-      if (pick == 6) batch << ",\"algo\":\"bs\"";
+    } else if (pick == 6) {
+      batch << ",\"kind\":\"mbc_heu\",\"tau\":2";
     } else {
       batch << ",\"kind\":\"gmbc\"";
     }

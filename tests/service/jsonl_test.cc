@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tests/test_util.h"
@@ -59,7 +60,7 @@ TEST(JsonlParseTest, RejectsMalformedInput) {
 
 TEST(JsonlParseTest, BuildsQueryRequest) {
   Result<JsonlFields> fields = ParseJsonlLine(
-      R"({"id":"q7","graph":"g","kind":"pf","algo":"bs",)"
+      R"({"id":"q7","graph":"g","kind":"pf","algo":"star",)"
       R"("time_limit_seconds":1.5,"memory_limit_mb":64,"no_cache":true})");
   ASSERT_TRUE(fields.ok());
   Result<QueryRequest> request = QueryRequestFromFields(fields.value());
@@ -67,10 +68,65 @@ TEST(JsonlParseTest, BuildsQueryRequest) {
   EXPECT_EQ(request.value().id, "q7");
   EXPECT_EQ(request.value().graph, "g");
   EXPECT_EQ(request.value().kind, QueryKind::kPf);
-  EXPECT_EQ(request.value().algo, "bs");
   EXPECT_DOUBLE_EQ(request.value().time_limit_seconds, 1.5);
   EXPECT_EQ(request.value().memory_limit_mb, 64u);
   EXPECT_TRUE(request.value().no_cache);
+}
+
+// "algo" may name the kind's one engine, before or after "kind".
+TEST(JsonlParseTest, AcceptsEachKindsOneEngine) {
+  const std::pair<const char*, QueryKind> engines[] = {
+      {R"("kind":"mbc","algo":"star")", QueryKind::kMbc},
+      {R"("algo":"star","kind":"mbc")", QueryKind::kMbc},
+      {R"("kind":"pf","algo":"star")", QueryKind::kPf},
+      {R"("algo":"star","kind":"pf")", QueryKind::kPf},
+      {R"("kind":"gmbc","algo":"star")", QueryKind::kGmbc},
+      {R"("algo":"star","kind":"gmbc")", QueryKind::kGmbc},
+      {R"("kind":"mbc_heu","algo":"heu")", QueryKind::kMbcHeu},
+      {R"("algo":"heu","kind":"mbc_heu")", QueryKind::kMbcHeu},
+      {R"("kind":"mbc_tol","algo":"tol")", QueryKind::kMbcTol},
+      {R"("algo":"tol","kind":"mbc_tol")", QueryKind::kMbcTol},
+      {R"("algo":"star")", QueryKind::kMbc},  // kind defaults to mbc
+  };
+  for (const auto& [body, kind] : engines) {
+    const std::string line = std::string(R"({"graph":"g",)") + body + "}";
+    Result<JsonlFields> fields = ParseJsonlLine(line);
+    ASSERT_TRUE(fields.ok()) << line;
+    Result<QueryRequest> request = QueryRequestFromFields(fields.value());
+    ASSERT_TRUE(request.ok()) << line << ": " << request.status().ToString();
+    EXPECT_EQ(request.value().kind, kind) << line;
+  }
+}
+
+// The paper baselines, the parallel engine's cache label and any other
+// spelling are not served: invalid_argument, pointing at mbc_cli.
+TEST(JsonlParseTest, RejectsAnyAlgoButTheKindsEngine) {
+  const char* bad[] = {
+      R"({"graph":"g","kind":"mbc","algo":"adv"})",
+      R"({"graph":"g","algo":"adv","kind":"mbc"})",
+      R"({"graph":"g","kind":"mbc","algo":"baseline"})",
+      R"({"graph":"g","algo":"baseline","parallel_threads":2})",
+      R"({"graph":"g","kind":"pf","algo":"bs"})",
+      R"({"graph":"g","algo":"bs","kind":"pf"})",
+      R"({"graph":"g","kind":"gmbc","algo":"basic"})",
+      R"({"graph":"g","kind":"mbc","algo":"parallel"})",
+      R"({"graph":"g","algo":"parallel","parallel_threads":2})",
+      R"({"graph":"g","kind":"mbc","algo":"quantum"})",
+      R"({"graph":"g","kind":"mbc","algo":"heu"})",
+      R"({"graph":"g","algo":"heu"})",
+      R"({"graph":"g","kind":"mbc_heu","algo":"star"})",
+      R"({"graph":"g","kind":"mbc_tol","algo":"heu"})",
+      R"({"graph":"g","kind":"mbc","algo":""})",
+  };
+  for (const char* line : bad) {
+    Result<JsonlFields> fields = ParseJsonlLine(line);
+    ASSERT_TRUE(fields.ok()) << line;
+    Result<QueryRequest> request = QueryRequestFromFields(fields.value());
+    ASSERT_FALSE(request.ok()) << line;
+    EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(request.status().message().find("mbc_cli"), std::string::npos)
+        << line << ": " << request.status().message();
+  }
 }
 
 TEST(JsonlParseTest, ParsesParallelThreadsAndWitnesses) {

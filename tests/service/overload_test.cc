@@ -313,6 +313,19 @@ TEST(BrownoutTest, BrownoutPrefersExactCacheHit) {
 // ---------------------------------------------------------------------------
 // Degraded tier correctness
 
+// A degraded gMBC answer carries one witness per size: a balanced clique
+// of that size whose min side reaches its tau.
+void ExpectGmbcWitnesses(const SignedGraph& graph, const QueryResult& gmbc,
+                         const std::string& label) {
+  ASSERT_EQ(gmbc.gmbc_cliques.size(), gmbc.gmbc_sizes.size()) << label;
+  for (size_t tau = 0; tau < gmbc.gmbc_cliques.size(); ++tau) {
+    const BalancedClique& witness = gmbc.gmbc_cliques[tau];
+    EXPECT_EQ(witness.size(), gmbc.gmbc_sizes[tau]) << label << " tau=" << tau;
+    EXPECT_GE(witness.MinSide(), tau) << label << " tau=" << tau;
+    EXPECT_TRUE(IsBalancedClique(graph, witness)) << label << " tau=" << tau;
+  }
+}
+
 TEST(DegradedResultTest, GreedyAnswersAreFeasibleLowerBounds) {
   const SignedGraph fig2 = Figure2Graph();
   const QueryResult mbc = ComputeDegradedResult(fig2, QueryKind::kMbc, 2);
@@ -332,6 +345,7 @@ TEST(DegradedResultTest, GreedyAnswersAreFeasibleLowerBounds) {
     EXPECT_LE(gmbc.gmbc_sizes[tau], gmbc.gmbc_sizes[tau - 1])
         << "greedy gMBC sizes must be monotone non-increasing";
   }
+  ExpectGmbcWitnesses(fig2, gmbc, "fig2");
 }
 
 TEST(DegradedResultTest, DeterministicAcrossCalls) {
@@ -393,6 +407,7 @@ TEST(DegradedResultTest, AnchorPoolMatchesPerTauGreedy) {
     const QueryResult gmbc = ComputeDegradedResult(graph, QueryKind::kGmbc, 0);
     EXPECT_EQ(gmbc.beta, expected.beta) << family;
     EXPECT_EQ(gmbc.gmbc_sizes, expected.gmbc_sizes) << family;
+    ExpectGmbcWitnesses(graph, gmbc, family);
     const QueryResult pf = ComputeDegradedResult(graph, QueryKind::kPf, 0);
     EXPECT_EQ(pf.beta, expected.beta) << family;
     EXPECT_EQ(pf.beta, widest_min) << family;

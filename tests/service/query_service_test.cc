@@ -59,36 +59,11 @@ TEST(QueryServiceTest, AnswersMatchDirectSolverCalls) {
   }
 }
 
-TEST(QueryServiceTest, AllMbcAlgosAgree) {
-  QueryService service;
-  ASSERT_TRUE(
-      service.store().Load("g", RandomSignedGraph(24, 130, 0.45, 11)).ok());
-  std::vector<size_t> sizes;
-  for (const char* algo : {"star", "baseline", "adv"}) {
-    QueryRequest request = MbcRequest("g", 1);
-    request.algo = algo;
-    QueryResponse response = service.Query(std::move(request));
-    ASSERT_TRUE(response.status.ok()) << algo;
-    sizes.push_back(response.result.clique.size());
-  }
-  EXPECT_EQ(sizes[0], sizes[1]);
-  EXPECT_EQ(sizes[0], sizes[2]);
-}
-
 TEST(QueryServiceTest, UnknownGraphIsNotFound) {
   QueryService service;
   QueryResponse response = service.Query(MbcRequest("missing", 1));
   EXPECT_EQ(response.status.code(), StatusCode::kNotFound);
   EXPECT_EQ(response.id, "q");
-}
-
-TEST(QueryServiceTest, UnknownAlgoIsInvalidArgument) {
-  QueryService service;
-  ASSERT_TRUE(service.store().Load("fig2", Figure2Graph()).ok());
-  QueryRequest request = MbcRequest("fig2", 2);
-  request.algo = "quantum";
-  EXPECT_EQ(service.Query(std::move(request)).status.code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(QueryServiceTest, RepeatQueryHitsCache) {
@@ -378,18 +353,12 @@ TEST(QueryServiceParallelTest, InvalidCompositionsAreRejected) {
   pf.parallel_threads = 2;
   EXPECT_EQ(service.Query(pf).status.code(), StatusCode::kInvalidArgument);
 
-  QueryRequest baseline = MbcRequest("fig2", 2);
-  baseline.algo = "baseline";
-  baseline.parallel_threads = 2;
-  EXPECT_EQ(service.Query(baseline).status.code(),
-            StatusCode::kInvalidArgument);
-
-  // "parallel" is the engine's internal cache label, never an addressable
-  // algo: spelling it directly must fail even without parallel_threads.
-  QueryRequest direct = MbcRequest("fig2", 2);
-  direct.algo = "parallel";
-  EXPECT_EQ(service.Query(direct).status.code(),
-            StatusCode::kInvalidArgument);
+  // The service's own request check holds warm_start to kind mbc too,
+  // for callers that build a QueryRequest without the JSONL parser.
+  QueryRequest heu = MbcRequest("fig2", 2);
+  heu.kind = QueryKind::kMbcHeu;
+  heu.warm_start = true;
+  EXPECT_EQ(service.Query(heu).status.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(QueryServiceParallelTest, ZeroBudgetClampsToOneThreadSameAnswer) {

@@ -73,7 +73,7 @@ std::string BuildBatch() {
         batch << ",\"kind\":\"gmbc\"";
         break;
       default:
-        batch << ",\"kind\":\"mbc\",\"tau\":2,\"algo\":\"adv\"";
+        batch << ",\"kind\":\"mbc_heu\",\"tau\":3";
         break;
     }
     batch << "}\n";
